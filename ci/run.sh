@@ -21,11 +21,11 @@ export HICHI_BENCH_ITERATIONS="${HICHI_BENCH_ITERATIONS:-2}"
 # The smoke benches, as one rerunnable unit: the perf trend gate below
 # re-measures through this function to confirm a flagged regression.
 run_smoke_benches() {
-  # bench_pic_deposit / bench_pic_async / bench_pic_fields also fail by
-  # themselves if any configuration's state hash deviates from the
-  # serial reference. bench_pic_async additionally runs the step-graph
-  # resubmit-vs-replay sweep (stage "submit") and fails unless replay is
-  # strictly cheaper to issue at the smallest grid.
+  # bench_pic_deposit / bench_pic_fields also fail by themselves if any
+  # configuration's state hash deviates from the serial reference.
+  # bench_pic_async runs the step-graph resubmit-vs-replay sweep (stage
+  # "submit") and fails unless replay is bit-identical and strictly
+  # cheaper to issue at the smallest grid.
   HICHI_BENCH_JSON=results/BENCH_scheduling.json \
     ./build/bench_ablation_scheduling
   HICHI_BENCH_JSON=results/BENCH_pic_deposit.json ./build/bench_pic_deposit
@@ -100,8 +100,7 @@ echo "runner equivalence: OK (all state hashes identical)"
 
 # The full PIC loop must agree bitwise across push/deposit backends and
 # tile counts (the tiled-deposition determinism guarantee), including
-# the async-pipeline push path (the double-buffered precalc/push
-# pipeline) with several lane/chunk configurations.
+# an asynchronous (async-pipeline) push backend.
 PIC_HASHES="$(
   for B in serial openmp dpcpp dpcpp-numa async-pipeline sharded; do
     ./build/pic_langmuir --steps 40 --push-backend "$B" \
@@ -121,7 +120,7 @@ PIC_HASHES="$(
     --deposit-tiles 11 --deposit-threads 2 \
     | sed -n 's/final state hash = \([0-9a-f]*\).*/\1/p'
   ./build/pic_langmuir --steps 40 --push-backend async-pipeline \
-    --threads 4 --pipeline-chunks 3 --deposit-backend dpcpp \
+    --threads 4 --deposit-backend dpcpp \
     | sed -n 's/final state hash = \([0-9a-f]*\).*/\1/p'
   # Step-graph replay (capture step 0, replay 1..39) must land on the
   # same hash, including the sharded whole-loop shape.
@@ -146,10 +145,10 @@ PIC_HASHES="$(
     | sed -n 's/final state hash = \([0-9a-f]*\).*/\1/p'
 )"
 if [ "$(echo "$PIC_HASHES" | sort -u | wc -l)" != "1" ]; then
-  echo "FAIL: PIC state hashes differ across backends/tiles/pipelines" >&2
+  echo "FAIL: PIC state hashes differ across backends/tiles" >&2
   exit 1
 fi
-echo "PIC equivalence: OK (all state hashes identical, async pipeline included)"
+echo "PIC equivalence: OK (all state hashes identical, async push included)"
 
 # The Maxwell field solve must agree bitwise across field backends and
 # tile counts too — for both solvers (FDTD's x-slab halo tiles and the

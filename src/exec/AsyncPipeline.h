@@ -14,10 +14,7 @@
 ///
 /// The parallelism model is therefore *pipelining across launches*, not
 /// splitting within one: two dependency-free launches overlap on two
-/// lanes, which is exactly what the PIC loop's double-buffered
-/// field-precalc/push pipeline needs (precalculate the samples of chunk
-/// k+1 on one lane while chunk k is being pushed on another —
-/// pic/PicSimulation.h) and what event-chained step submission amortizes
+/// lanes, which is what event-chained step submission amortizes
 /// (StepLoop.h). Since every launch replays its items in ascending order
 /// on one thread, results are bit-identical to the serial backend by
 /// construction.
@@ -45,9 +42,8 @@ namespace exec {
 /// Lane-based asynchronous backend ("async-pipeline" in the registry).
 class AsyncPipelineBackend final : public ExecutionBackend {
 public:
-  /// \p Config.Threads is the lane count (0 = the default of 2; the
-  /// double-buffer pipelines are built for two lanes, more deepens the
-  /// pipeline).
+  /// \p Config.Threads is the lane count (0 = the default of 2; more
+  /// lanes let more independent launches overlap).
   explicit AsyncPipelineBackend(const BackendConfig &Config);
 
   const char *name() const override { return "async-pipeline"; }

@@ -218,11 +218,10 @@ public:
   /// True if asynchronous submission is this backend's *intrinsic*
   /// model — submit() returns before the launch executes regardless of
   /// context (async-pipeline). Drivers use it to pick event-chained
-  /// submission over mega-kernels (StepLoop.h, FusionMode::Auto) and to
-  /// enable the PIC loop's double-buffered precalc/push pipeline
-  /// (pic/PicSimulation.h). Note: dpcpp also returns deferred events
-  /// when the per-launch ExecutionContext carries a non-blocking queue,
-  /// but the backend cannot see the queue at query time, so it reports
+  /// submission over mega-kernels (StepLoop.h, FusionMode::Auto). Note:
+  /// dpcpp also returns deferred events when the per-launch
+  /// ExecutionContext carries a non-blocking queue, but the backend
+  /// cannot see the queue at query time, so it reports
   /// false — callers who want chained submission there opt in explicitly
   /// via FusionMode::EventChain (hichi_push --chain).
   virtual bool isAsynchronous() const { return false; }

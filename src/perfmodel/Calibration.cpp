@@ -103,8 +103,10 @@ double triadPasses(std::vector<double> &A, const std::vector<double> &B,
   return N ? A[N / 2] : 0.0;
 }
 
-/// Keeps checksums observable without printing them.
-volatile double CalibrationSink = 0.0;
+/// Keeps checksums observable without printing them. Thread-local: the
+/// saturated sweep's workers all write it, and a shared sink would be a
+/// data race.
+thread_local volatile double CalibrationSink = 0.0;
 
 /// Buffers of one streaming thread, prefaulted by the owning thread so
 /// first-touch places the pages locally and the timed passes see warm

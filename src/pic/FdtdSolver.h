@@ -239,10 +239,9 @@ public:
   /// \returns the trailing launch's event. Wait it (and only then read
   /// \p Stats or drop \p Keep) before touching the fields. \p After
   /// gates the first half-step: host-ordered callers (who waited the
-  /// push stage before submitting) leave it empty, while a step-graph
-  /// capture passes the wrap event there — the B advance writes fields
-  /// the push stage's interpolation reads, and under replay only the
-  /// recorded edges order the two.
+  /// push stage before submitting) leave it empty, while the PIC step
+  /// passes its wrap event there — the B advance writes fields the push
+  /// stage's interpolation reads, and only that edge orders the two.
   template <typename KeepT>
   exec::ExecEvent submitStep(YeeGrid<Real> &Grid, Real Dt,
                              FdtdSlabPartition<Real> &Partition,

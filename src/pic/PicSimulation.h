@@ -32,15 +32,11 @@
 /// per-node operation order, and hence the state hash, bit-identical to
 /// the all-serial loop.
 ///
-/// On an asynchronous push backend ("async-pipeline"), stage 1 runs as a
-/// **double-buffered precalc/push pipeline**: the field interpolation is
-/// split out of the fused interpolate+push kernel into a precalc kernel
-/// that fills a per-chunk FieldSample buffer, and chunk k's push (reading
-/// buffer k%2) overlaps chunk k+1's precalc (filling the other buffer) —
-/// event-chained so the per-particle operation sequence, and therefore
-/// the state hash, is bit-identical to the fused serial stage. See the
-/// "Asynchronous execution" section of docs/ARCHITECTURE.md for the
-/// dataflow diagram.
+/// The whole step is one launch DAG — J clear, stage 1, wrap, deposit,
+/// field solve — built by one function. A classic step submits it
+/// through the stage backends; a graph step captures it once and replays
+/// it thereafter (PicOptions::UseStepGraph). See the five-stage table in
+/// docs/ARCHITECTURE.md.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -128,19 +124,12 @@ template <typename Real> struct PicOptions {
 
   /// Execution backend (exec registry name) for the interpolate+push
   /// stage. Particles are independent during the push, so any registered
-  /// backend gives bit-identical results. Asynchronous backends
-  /// ("async-pipeline") run the stage as the double-buffered
-  /// precalc/push pipeline.
+  /// backend gives bit-identical results.
   std::string PushBackend = "serial";
 
   /// Worker threads for the push stage; 0 means all (for
   /// "async-pipeline": the lane count, default 2).
   int PushThreads = 0;
-
-  /// Chunks the double-buffered pipeline slices the ensemble into when
-  /// the push backend is asynchronous; 0 = auto (two per pipeline lane).
-  /// Ignored by synchronous push backends.
-  int PushPipelineChunks = 0;
 
   /// Execution backend for the current-deposition stage. The scatter
   /// couples particles through the grid, so it runs as per-tile
@@ -222,35 +211,12 @@ template <typename Real> struct PicOptions {
   MovingWindowOptions<Real> MovingWindow;
 
   /// Let the autotuner (exec/Autotuner.h) fill every stage knob still at
-  /// its built-in default — backends left at "serial", thread/tile/chunk
+  /// its built-in default — backends left at "serial", thread/tile
   /// counts left at 0, step graph left off — from the host's measured
   /// machine profile. Knobs set explicitly (above) always win. All tuned
   /// knobs are hash-invariant, so a tuned run's state hash still equals
   /// the serial reference.
   bool Tune = false;
-};
-
-/// Accumulated timing of the double-buffered precalc/push pipeline (only
-/// populated when the push backend is asynchronous). PrecalcNs and
-/// PushNs are per-kernel busy times summed over chunks and steps; WallNs
-/// is the wall time of the whole pipelined stage. Their gap is the
-/// overlap the pipeline achieved.
-struct PicPipelineStats {
-  double WallNs = 0;    ///< wall time of the pipelined stage 1
-  double PrecalcNs = 0; ///< field-precalc kernel busy time (all chunks)
-  double PushNs = 0;    ///< push kernel busy time (all chunks)
-
-  /// Fraction of the smaller stage that the pipeline hid behind the
-  /// larger one: 1 = perfect overlap (wall == max of the two stages),
-  /// 0 = fully serialized (wall >= their sum). Can exceed 1 slightly
-  /// when per-kernel timers under-count scheduling gaps.
-  double overlapEfficiency() const {
-    const double Hidden = PrecalcNs + PushNs - WallNs;
-    const double MaxHidden = PrecalcNs < PushNs ? PrecalcNs : PushNs;
-    if (MaxHidden <= 0)
-      return 0;
-    return Hidden > 0 ? Hidden / MaxHidden : 0;
-  }
 };
 
 /// A complete electromagnetic PIC simulation over one periodic box.
@@ -330,26 +296,46 @@ public:
     Particles.pushBack(P);
   }
 
-  /// Advances the simulation by one step. With PicOptions::UseStepGraph
-  /// the first step executes through a graph-capturing wrapper and every
-  /// later step replays the captured launch DAG with only the step
-  /// index and simulation time rebound; the classic host-ordered path
-  /// runs otherwise (both bit-identical,
-  /// tests/pic/GraphEquivalenceTest.cpp).
+  /// Advances the simulation by one step. The classic step submits the
+  /// five-stage launch DAG (submitStep) through the stage backends. With
+  /// PicOptions::UseStepGraph the first step submits the same DAG through
+  /// graph-capturing wrappers, and every later step replays the captured
+  /// DAG with only the step index and simulation time rebound (both
+  /// bit-identical, tests/pic/GraphEquivalenceTest.cpp).
   void step() {
-    if (Options.UseStepGraph) {
-      // The graph is keyed on the ensemble size AND the partition epoch:
-      // a fired rebalance re-splits the push blocks whose ranges the
-      // captured DAG baked in, so a repartition recaptures through the
-      // same seam a size change does.
-      if (Graph && Graph->instantiated() &&
-          GraphN == Particles.view().size() && GraphEpoch == PartitionEpoch)
-        replayStep();
-      else
-        captureStep();
+    if (!Options.UseStepGraph) {
+      // The reusable kernel-body caches are rewound, not reallocated, so
+      // the steady state allocates nothing.
+      StageCache.rewind();
+      ChainCache.rewind();
+      submitStep(*Backend, *DepositExec, *FieldExec);
+    } else if (canSubmitStepAsync()) {
+      replayStep();
       return;
+    } else {
+      // Capture. The graph is keyed on the ensemble size AND the
+      // partition epoch: a fired rebalance re-splits the push blocks whose
+      // ranges the captured DAG baked in, so a repartition recaptures
+      // through the same seam a size change does. A fresh graph owns
+      // nothing: kernel bodies live in the member caches (cleared, then
+      // rebuilt by this capture so replays keep pointing at stable
+      // storage) and stats in member RunStats.
+      Stopwatch Wall;
+      Graph = std::make_unique<exec::StepGraph>(&StepParams);
+      exec::GraphCapture PushCap(*Backend, *Graph);
+      exec::GraphCapture DepositCap(*DepositExec, *Graph);
+      exec::GraphCapture FieldCap(*FieldExec, *Graph);
+      StageCache.clear();
+      ChainCache.clear();
+      submitStep(PushCap, DepositCap, FieldCap);
+      if (!Graph->instantiate())
+        Graph.reset(); // empty capture (defensive); next step recaptures
+      GraphN = Particles.size();
+      GraphEpoch = PartitionEpoch;
+      ++GraphCaptures;
+      addWall(GraphTiming, Wall);
     }
-    classicStep();
+    finishStep();
   }
 
   /// True when the next step can run as the split submit/finish pair
@@ -385,17 +371,25 @@ public:
   /// bit-identical to step() on the replay path.
   void finishStepAsync() {
     Graph->waitReplay();
-    const double Ns = double(AsyncStepWatch.elapsedNanoseconds());
-    GraphTiming.HostNs += Ns;
-    GraphTiming.ModeledNs += Ns;
+    addWall(GraphTiming, AsyncStepWatch);
     ++GraphReplays;
     finishStep();
   }
 
 private:
-  /// The classic host-ordered step: stages execute in program order with
-  /// host waits between them, resubmitting every launch.
-  void classicStep() {
+  /// Submits the five-stage step as one launch DAG through \p Push,
+  /// \p Deposit and \p Field — the stage backends on a classic step, or
+  /// their graph-capturing wrappers on a capture step — and waits for it.
+  /// The explicit edges carry every ordering the stages need, so the
+  /// same DAG replays with no host code between its launches:
+  ///
+  ///   clear J ──────────────────────┐
+  ///   stage 1 ──→ wrap ──────────→ bin ──→ accumulate ──→ reduce
+  ///                 │                                       │ JReady
+  ///                 └─────────────→ field solve ←───────────┘
+  void submitStep(exec::ExecutionBackend &Push,
+                  exec::ExecutionBackend &Deposit,
+                  exec::ExecutionBackend &Field) {
     const Real Dt = Options.TimeStep;
     const Real C = Options.LightVelocity;
     auto View = Particles.view();
@@ -403,210 +397,77 @@ private:
     const ParticleTypeInfo<Real> *TypesPtr = Types.data();
     YeeInterpolator<Real> Interp(Grid);
 
-    // Per-step rebinding surface (kernel bodies read the simulation
-    // time through it) and the reusable kernel-body caches — rewound,
-    // not reallocated, so the steady state allocates nothing.
+    // Per-step rebinding surface (kernel bodies read the simulation time
+    // through it, so a replay only rewrites these two fields).
     StepParams.StepIndex = Steps;
     StepParams.Scalars[0] = double(CurrentTime);
-    StageCache.rewind();
-    ChainCache.rewind();
-
-    Grid.clearCurrent();
-
-    // Stage 1 — interpolate + push, routed through the push backend
-    // (particles are independent here, so any backend is bit-identical).
-    // Old positions are kept aside because the deposition needs both ends
-    // of the same move.
     OldPositions.resize(std::size_t(N));
+    NewPositions.resize(std::size_t(N));
     Vector3<Real> *OldPos = OldPositions.data();
+    Vector3<Real> *NewPos = NewPositions.data();
     exec::ExecutionContext Ctx;
     Ctx.Queue = Queue.get();
-    if (PushSharded() && N > 0) {
-      // Sharded backend: the ensemble is partitioned once into the
-      // backend's persistent shards; each shard precalcs its slice into
-      // its own first-touched arena and pushes it on its own lane,
-      // routed by shard affinity (same per-particle operation sequence
-      // as the fused serial kernel, hence the same bits).
-      shardedInterpPush(*Backend, View, Interp, OldPos, TypesPtr, Dt, C, N,
-                        Ctx);
-    } else if (Backend->isAsynchronous() && N > 0) {
-      // Asynchronous backend: the double-buffered precalc/push pipeline
-      // (same per-particle operation sequence, hence the same bits).
-      pipelinedInterpPush(*Backend, View, Interp, OldPos, TypesPtr, Dt, C, N,
-                          Ctx);
-    } else {
-      // One step per launch: the deposition below couples particles, so
-      // multi-step fusion is not legal for the PIC loop.
-      fusedInterpPush(*Backend, View, Interp, OldPos, TypesPtr, Dt, C, N,
-                      Ctx)
-          .wait();
-    }
+
+    // The J clear: the deposit's bin and reduce launches depend on it.
+    const exec::ExecEvent Cleared = exec::submitCachedLaunch(
+        Deposit, Ctx, DepositLaunchStats, 1, /*GrainHint=*/0,
+        ClearCurrentBody{&Grid}, {}, StageCache);
+
+    // Stage 1 — interpolate + push (particles are independent here, so
+    // any backend is bit-identical). Old positions are kept aside because
+    // the deposition needs both ends of the same move. One step per
+    // launch: the deposition couples particles, so multi-step fusion is
+    // not legal for the PIC loop.
+    std::vector<exec::ExecEvent> PushDone;
+    if (PushSharded() && N > 0)
+      PushDone = shardedInterpPush(Push, View, Interp, OldPos, TypesPtr, Dt,
+                                   C, N, Ctx);
+    else
+      PushDone.push_back(exec::submitCachedLaunch(
+          Push, Ctx, PushTiming, N, /*GrainHint=*/0,
+          FusedPushBody{View, Interp, OldPos, TypesPtr, Dt, C, &StepParams},
+          {}, StageCache));
 
     // Stage 2 — wrap positions back into the box, keeping the unwrapped
     // endpoints aside: the deposition needs the physical displacement.
-    NewPositions.resize(std::size_t(N));
-    Vector3<Real> *NewPos = NewPositions.data();
-    for (Index I = 0; I < N; ++I) {
-      auto P = View[I];
-      const Vector3<Real> Pos = P.position(); // unwrapped
-      NewPos[I] = Pos;
-      P.setPosition(Grid.wrapPosition(Pos));
-    }
+    const exec::ExecEvent Wrapped = exec::submitCachedLaunch(
+        Push, Ctx, PushTiming, N, /*GrainHint=*/0,
+        WrapBody{View, NewPos, &Grid}, PushDone, StageCache);
 
-    // Stages 3 + 4 — one event chain. Stage 3: current deposition
-    // through the deposit backend, per-tile private accumulation plus
-    // fixed-order reduction, bit-identical to the serial particle-order
-    // scatter (TiledCurrentAccumulator.h). Stage 4: the Maxwell solve
-    // through the field backend, chained on the deposit reduction's
-    // event at the first launch that reads J — so on an asynchronous
-    // field backend the reduction's tail overlaps the first FDTD
-    // half-step. Kernel bodies live in ChainKernels until the final
-    // wait (the asynchronous lifetime contract).
+    // Stages 3 + 4 — one event chain. Stage 3: current deposition, a
+    // binning launch gated on {Wrapped, Cleared}, then per-tile private
+    // accumulation plus fixed-order reduction, bit-identical to the
+    // serial particle-order scatter (TiledCurrentAccumulator.h). Stage 4:
+    // the Maxwell solve, chained on the reduction's event at the first
+    // launch that reads J, so on an asynchronous field backend the
+    // reduction's tail overlaps the first FDTD half-step. That half-step
+    // also waits the wrap, because advanceB writes the B lattice stage 1
+    // reads (the spectral gather is ordered through JReady already).
     exec::ExecEvent JReady;
     {
       Stopwatch Watch;
-      JReady = Accumulator->submitDeposit(Grid, View, OldPos, NewPos,
-                                          TypesPtr, Dt,
-                                          Options.ChargeConserving,
-                                          *DepositExec, Ctx,
-                                          DepositLaunchStats, ChainCache);
-      if (!FieldExec->isAsynchronous())
+      JReady = Accumulator->submitDeposit(
+          Grid, View, OldPos, NewPos, TypesPtr, Dt, Options.ChargeConserving,
+          Deposit, Ctx, DepositLaunchStats, ChainCache, {Wrapped, Cleared});
+      if (!Field.isAsynchronous())
         JReady.wait(); // keep the serial stage-wall attribution exact
-      const double Ns = double(Watch.elapsedNanoseconds());
-      DepositTiming.HostNs += Ns;
-      DepositTiming.ModeledNs += Ns;
+      addWall(DepositTiming, Watch);
     }
-
     {
       // On an asynchronous field backend this wall includes the deposit
       // tail the chain hides — the stage boundary blurs by design.
       Stopwatch Watch;
       const exec::ExecEvent FieldsDone =
-          Spectral ? Spectral->submitStep(Grid, Dt, *FieldExec, Ctx,
+          Spectral ? Spectral->submitStep(Grid, Dt, Field, Ctx,
                                           FieldTileCount, FieldLaunchStats,
                                           JReady, ChainCache)
-                   : Solver.submitStep(Grid, Dt, *FieldPartition, *FieldExec,
-                                       Ctx, FieldLaunchStats, JReady,
-                                       ChainCache);
+                   : Solver.submitStep(Grid, Dt, *FieldPartition, Field, Ctx,
+                                       FieldLaunchStats, JReady, ChainCache,
+                                       {Wrapped});
       FieldsDone.wait();
       JReady.wait(); // retire the deposit launches' stats publication too
-      const double Ns = double(Watch.elapsedNanoseconds());
-      FieldTiming.HostNs += Ns;
-      FieldTiming.ModeledNs += Ns;
+      addWall(FieldTiming, Watch);
     }
-
-    finishStep();
-  }
-
-  /// Graph-mode first step: runs the full five-stage step through
-  /// graph-capturing wrappers so every launch is recorded into a fresh
-  /// StepGraph while executing normally (the capture step itself is
-  /// bit-identical to classicStep — stage 2's host loop and the host
-  /// J-clear simply become captured nodes, and the explicit edges
-  /// reproduce the orderings the classic host waits provided). The
-  /// instantiated graph is keyed on the ensemble size; any size change
-  /// discards it and recaptures.
-  void captureStep() {
-    const Real Dt = Options.TimeStep;
-    const Real C = Options.LightVelocity;
-    auto View = Particles.view();
-    const Index N = View.size();
-    const ParticleTypeInfo<Real> *TypesPtr = Types.data();
-    YeeInterpolator<Real> Interp(Grid);
-
-    StepParams.StepIndex = Steps;
-    StepParams.Scalars[0] = double(CurrentTime);
-
-    // A fresh graph owns nothing: kernel bodies live in the member
-    // caches (cleared, then rebuilt by this capture so replays keep
-    // pointing at stable storage) and stats in member RunStats.
-    Graph = std::make_unique<exec::StepGraph>(&StepParams);
-    PushCap = std::make_unique<exec::GraphCapture>(*Backend, *Graph);
-    DepositCap = std::make_unique<exec::GraphCapture>(*DepositExec, *Graph);
-    FieldCap = std::make_unique<exec::GraphCapture>(*FieldExec, *Graph);
-    StageCache.clear();
-    ChainCache.clear();
-
-    OldPositions.resize(std::size_t(N));
-    NewPositions.resize(std::size_t(N));
-    Vector3<Real> *OldPos = OldPositions.data();
-    Vector3<Real> *NewPos = NewPositions.data();
-    exec::ExecutionContext Ctx;
-    Ctx.Queue = Queue.get();
-
-    Stopwatch Wall;
-
-    // The J clear as a captured node (host call in classic mode): the
-    // deposit chain's bin/reduce depend on it, replacing program order.
-    DepositLaunchStats.SpecsBuilt += 1;
-    exec::LaunchSpec ClearSpec;
-    ClearSpec.Items = 1;
-    ClearSpec.StepBegin = Steps;
-    ClearSpec.StepEnd = Steps + 1;
-    const ClearCurrentBody &ClearBody =
-        StageCache.emplace(ClearCurrentBody{&Grid});
-    const exec::ExecEvent Cleared = DepositCap->submit(
-        ClearSpec,
-        exec::StepKernel(ClearBody, exec::kernelIdentity<ClearCurrentBody>()),
-        Ctx, DepositLaunchStats);
-
-    // Stage 1 through the capturing wrapper — same routing as classic.
-    std::vector<exec::ExecEvent> PushDone;
-    if (PushSharded() && N > 0) {
-      PushDone = shardedInterpPush(*PushCap, View, Interp, OldPos, TypesPtr,
-                                   Dt, C, N, Ctx);
-    } else if (Backend->isAsynchronous() && N > 0) {
-      PushDone = pipelinedInterpPush(*PushCap, View, Interp, OldPos, TypesPtr,
-                                     Dt, C, N, Ctx);
-    } else {
-      PushDone.push_back(
-          fusedInterpPush(*PushCap, View, Interp, OldPos, TypesPtr, Dt, C, N,
-                          Ctx));
-    }
-
-    // Stage 2 (the wrap) as a captured node gated on every push launch —
-    // under replay the host no longer stands between the stages.
-    PushTiming.SpecsBuilt += 1;
-    exec::LaunchSpec WrapSpec;
-    WrapSpec.Items = N;
-    WrapSpec.StepBegin = Steps;
-    WrapSpec.StepEnd = Steps + 1;
-    WrapSpec.DependsOn = PushDone;
-    const WrapBody &Wrap = StageCache.emplace(WrapBody{View, NewPos, &Grid});
-    const exec::ExecEvent Wrapped = PushCap->submit(
-        WrapSpec, exec::StepKernel(Wrap, exec::kernelIdentity<WrapBody>()),
-        Ctx, PushTiming);
-
-    // Stages 3 + 4. BinOnBackend turns the host-side cell binning into a
-    // captured node (gated on {Wrapped, Cleared}); the field solve's
-    // first half-step additionally waits the wrap for the FDTD path,
-    // because advanceB writes the B lattice stage 1 reads and replay has
-    // no host ordering to protect that (the spectral solver's gather is
-    // transitively ordered through JReady already).
-    const exec::ExecEvent JReady = Accumulator->submitDeposit(
-        Grid, View, OldPos, NewPos, TypesPtr, Dt, Options.ChargeConserving,
-        *DepositCap, Ctx, DepositLaunchStats, ChainCache,
-        {Wrapped, Cleared}, /*BinOnBackend=*/true);
-    const exec::ExecEvent FieldsDone =
-        Spectral ? Spectral->submitStep(Grid, Dt, *FieldCap, Ctx,
-                                        FieldTileCount, FieldLaunchStats,
-                                        JReady, ChainCache)
-                 : Solver.submitStep(Grid, Dt, *FieldPartition, *FieldCap,
-                                     Ctx, FieldLaunchStats, JReady,
-                                     ChainCache, {Wrapped});
-    FieldsDone.wait();
-    JReady.wait();
-
-    if (!Graph->instantiate())
-      Graph.reset(); // empty capture (defensive); next step recaptures
-    GraphN = N;
-    GraphEpoch = PartitionEpoch;
-    ++GraphCaptures;
-    const double Ns = double(Wall.elapsedNanoseconds());
-    GraphTiming.HostNs += Ns;
-    GraphTiming.ModeledNs += Ns;
-
-    finishStep();
   }
 
   /// Graph-mode steady state: rebinds the step index and simulation time
@@ -621,9 +482,7 @@ private:
     Ctx.Queue = Queue.get();
     Stopwatch Wall;
     Graph->replay(Ctx);
-    const double Ns = double(Wall.elapsedNanoseconds());
-    GraphTiming.HostNs += Ns;
-    GraphTiming.ModeledNs += Ns;
+    addWall(GraphTiming, Wall);
     ++GraphReplays;
     finishStep();
   }
@@ -809,8 +668,10 @@ public:
   /// the run that saved it. Any captured step graph is discarded (the
   /// next step recaptures); the sort/rebalance schedules continue from
   /// the restored step index, so the resumed run fires them on the same
-  /// steps the uninterrupted run would. \returns false with a reason in
-  /// \p Error, leaving no partially-restored state visible to step().
+  /// steps the uninterrupted run would. \returns false with a one-line
+  /// reason in \p Error on I/O damage or on a restored state this run
+  /// cannot step (see restoredStateError); a rejected state leaves the
+  /// ensemble empty, so step() never reads it.
   bool restoreState(const std::string &Path, std::string *Error = nullptr) {
     std::int64_t StepIndex = 0;
     double Time = 0;
@@ -824,6 +685,17 @@ public:
     if (!loadSimulationCheckpoint(Particles, StepIndex, Time, Win, Fields,
                                   Path, Error))
       return false;
+    // The captured DAG baked in the pre-restore item counts and block
+    // ranges; drop it so the next step() recaptures against the
+    // restored ensemble.
+    Graph.reset();
+    GraphN = Index(-1);
+    if (const std::string Reason = restoredStateError(Win); !Reason.empty()) {
+      if (Error)
+        *Error = Path + ": " + Reason;
+      Particles.clear();
+      return false;
+    }
     Steps = int(StepIndex);
     CurrentTime = Real(Time);
     // Re-base the window onto the restored raw lattices (a v2 file's
@@ -837,11 +709,6 @@ public:
     Indexer = CellIndexer<Real>(Grid);
     if (Rebal)
       Rebal->refreshOrigin(Grid.origin());
-    // The captured DAG baked in the pre-restore item counts and block
-    // ranges; drop it so the next step() recaptures against the
-    // restored ensemble.
-    Graph.reset();
-    GraphN = Index(-1);
     return true;
   }
 
@@ -891,7 +758,8 @@ public:
   /// k-space chunks per launch for the spectral solver).
   int fieldTileCount() const { return FieldTileCount; }
 
-  /// Accumulated timing of the push stage across all steps so far.
+  /// Accumulated timing of the push stage (stage 1 and the wrap) across
+  /// all steps so far.
   const RunStats &pushStats() const { return PushTiming; }
 
   /// Accumulated wall time of the deposit stage (binning + accumulate +
@@ -904,8 +772,8 @@ public:
   /// deposit tail).
   const RunStats &fieldStats() const { return FieldTiming; }
 
-  /// Per-launch ledgers of the stage-1 precalc/push kernels (the
-  /// pipelined and sharded shapes; all zeros when stage 1 runs fused).
+  /// Per-launch ledgers of the sharded stage-1 precalc/push kernels (all
+  /// zeros when stage 1 runs fused).
   const RunStats &precalcKernelStats() const { return PrecalcKernelTiming; }
   const RunStats &pushKernelStats() const { return PushKernelTiming; }
 
@@ -949,14 +817,6 @@ public:
       Total.SubmitNs += S->SubmitNs;
     }
     return Total;
-  }
-
-  /// True if stage 1 runs as the double-buffered precalc/push pipeline
-  /// (the push backend is asynchronous and not sharded — the sharded
-  /// backend runs stage 1 as per-shard affinity-routed launches
-  /// instead).
-  bool usesAsyncPipeline() const {
-    return Backend->isAsynchronous() && !PushSharded();
   }
 
   /// Per-shard occupancy counters aggregated over *every* stage backend
@@ -1026,29 +886,14 @@ public:
     return Accumulator->tileBoundaries();
   }
 
-  /// Accumulated pipeline timing (all zeros unless usesAsyncPipeline()).
-  const PicPipelineStats &pipelineStats() const { return PipelineTiming; }
-
-  /// Chunks the pipeline actually executes per step. Ceil-division
-  /// chunk sizing can cover N with fewer chunks than requested (e.g.
-  /// 10 particles in 7 requested chunks -> 5 chunks of 2), so this
-  /// reports the executed count, matching the submissions made.
-  int pipelineChunkCount() const {
-    const Index N = Particles.view().size();
-    if (N <= 0)
-      return 0;
-    const Index ChunkSize = pipelineChunkSize(N);
-    return int((N + ChunkSize - 1) / ChunkSize);
-  }
-
 private:
   using ViewT = decltype(std::declval<Array &>().view());
 
-  /// The precalc half of the pipelined stage 1: samples the grid fields
-  /// at every particle of one chunk into a double buffer, stashing the
-  /// unwrapped old position — exactly the reads the fused kernel does,
-  /// in the same per-particle order.
-  struct PipelinePrecalcBody {
+  /// The precalc half of the sharded stage 1: samples the grid fields at
+  /// every particle of one shard's slice into the shard's arena, stashing
+  /// the unwrapped old position — exactly the reads the fused kernel
+  /// does, in the same per-particle order.
+  struct PrecalcBody {
     ViewT View;
     YeeInterpolator<Real> Interp;
     Vector3<Real> *OldPos;
@@ -1067,10 +912,10 @@ private:
     }
   };
 
-  /// The push half: consumes the chunk's sample buffer. The value
+  /// The push half: consumes the slice's sample buffer. The value
   /// round-trip through the buffer is bitwise exact, so the Boris update
   /// equals the fused kernel's.
-  struct PipelinePushBody {
+  struct SamplePushBody {
     ViewT View;
     const FieldSample<Real> *Samples;
     const ParticleTypeInfo<Real> *Types;
@@ -1085,11 +930,10 @@ private:
     }
   };
 
-  /// The fused interpolate+push kernel of the synchronous stage 1 — a
-  /// named body (not a step()-local lambda) so it can live in the
-  /// reusable kernel cache across steps and a captured graph can keep
-  /// pointing at it; the per-step simulation time flows in through the
-  /// ParamBlock.
+  /// The fused interpolate+push kernel of stage 1 — a named body (not a
+  /// step()-local lambda) so it can live in the reusable kernel cache
+  /// across steps and a captured graph can keep pointing at it; the
+  /// per-step simulation time flows in through the ParamBlock.
   struct FusedPushBody {
     ViewT View;
     YeeInterpolator<Real> Interp;
@@ -1110,10 +954,9 @@ private:
     }
   };
 
-  /// Stage 2 (position wrap) as a submittable kernel, for graph capture:
-  /// writes each particle's unwrapped endpoint and wraps it into the
-  /// box. Per-particle independent, so any partition is bit-identical
-  /// to the classic host loop.
+  /// Stage 2 (position wrap): writes each particle's unwrapped endpoint
+  /// and wraps it into the box. Per-particle independent, so any
+  /// partition is bit-identical.
   struct WrapBody {
     ViewT View;
     Vector3<Real> *NewPos;
@@ -1129,119 +972,22 @@ private:
     }
   };
 
-  /// Grid.clearCurrent() as a submittable kernel (one item), for graph
-  /// capture: under replay the J clear must be a node ordered before the
-  /// deposit reduction, not a host call.
+  /// Grid.clearCurrent() as a one-item kernel: the J clear is a node
+  /// ordered before the deposit reduction, so a replay needs no host
+  /// call.
   struct ClearCurrentBody {
     YeeGrid<Real> *Grid;
 
     void operator()(Index, Index, int, int) const { Grid->clearCurrent(); }
   };
 
-  /// Stage 1 as one fused interpolate+push launch through \p Exec (the
-  /// real push backend, or its graph-capturing wrapper). \returns the
-  /// launch's event; the body lives in the reusable stage cache.
-  exec::ExecEvent fusedInterpPush(exec::ExecutionBackend &Exec,
-                                  const ViewT &View,
-                                  const YeeInterpolator<Real> &Interp,
-                                  Vector3<Real> *OldPos,
-                                  const ParticleTypeInfo<Real> *TypesPtr,
-                                  Real Dt, Real C, Index N,
-                                  const exec::ExecutionContext &Ctx) {
-    const FusedPushBody &Body = StageCache.emplace(
-        FusedPushBody{View, Interp, OldPos, TypesPtr, Dt, C, &StepParams});
-    exec::LaunchSpec Spec;
-    Spec.Items = N;
-    Spec.StepBegin = Steps;
-    Spec.StepEnd = Steps + 1;
-    PushTiming.SpecsBuilt += 1;
-    return Exec.submit(
-        Spec, exec::StepKernel(Body, exec::kernelIdentity<FusedPushBody>()),
-        Ctx, PushTiming);
+  /// Adds the wall time of \p Watch to \p Stats.
+  static void addWall(RunStats &Stats, const Stopwatch &Watch) {
+    const double Ns = double(Watch.elapsedNanoseconds());
+    Stats.HostNs += Ns;
+    Stats.ModeledNs += Ns;
   }
 
-  /// Stage 1 as a double-buffered pipeline of non-blocking submissions:
-  /// precalc(k) fills buffer k%2 (waiting push(k-2), which frees it),
-  /// push(k) depends on precalc(k); on two lanes precalc(k+1) therefore
-  /// overlaps push(k). Every dependency points at an earlier submission,
-  /// so the pipeline cannot deadlock; the trailing waits also retire the
-  /// per-stage stats before anyone reads them.
-  /// \returns the push launches' events (already waited — they gate the
-  /// downstream wrap node when a graph capture records this stage).
-  std::vector<exec::ExecEvent>
-  pipelinedInterpPush(exec::ExecutionBackend &Exec, const ViewT &View,
-                      const YeeInterpolator<Real> &Interp,
-                      Vector3<Real> *OldPos,
-                      const ParticleTypeInfo<Real> *TypesPtr, Real Dt,
-                      Real C, Index N,
-                      const exec::ExecutionContext &Ctx) {
-    const Index ChunkSize = pipelineChunkSize(N);
-    const int Chunks = int((N + ChunkSize - 1) / ChunkSize);
-    PipelineSamples[0].resize(std::size_t(ChunkSize));
-    PipelineSamples[1].resize(std::size_t(ChunkSize));
-
-    // Kernel bodies live in member vectors (cleared, not reallocated,
-    // so the steady state allocates nothing and the addresses stay
-    // stable for a captured graph) until every event below is waited —
-    // the asynchronous lifetime contract.
-    PrecalcBodies.clear();
-    PushBodies.clear();
-    std::vector<exec::ExecEvent> PrecalcEvents, PushEvents;
-    PrecalcBodies.reserve(std::size_t(Chunks));
-    PushBodies.reserve(std::size_t(Chunks));
-    PrecalcEvents.reserve(std::size_t(Chunks));
-    PushEvents.reserve(std::size_t(Chunks));
-
-    Stopwatch Wall;
-    for (int K = 0; K < Chunks; ++K) {
-      const Index Begin = Index(K) * ChunkSize;
-      const Index End = std::min(Begin + ChunkSize, N);
-      if (Begin >= End)
-        break;
-      FieldSample<Real> *Buf = PipelineSamples[K % 2].data();
-
-      PrecalcBodies.push_back(PipelinePrecalcBody{View, Interp, OldPos, Buf,
-                                                  Begin, &StepParams});
-      exec::LaunchSpec PrecalcSpec;
-      PrecalcSpec.Items = End - Begin;
-      PrecalcSpec.StepBegin = Steps;
-      PrecalcSpec.StepEnd = Steps + 1;
-      if (K >= 2) // buffer K%2 is free once push(K-2) has consumed it
-        PrecalcSpec.DependsOn.push_back(PushEvents[std::size_t(K - 2)]);
-      PrecalcKernelTiming.SpecsBuilt += 1;
-      PrecalcEvents.push_back(Exec.submit(
-          PrecalcSpec,
-          exec::StepKernel(PrecalcBodies.back(),
-                           exec::kernelIdentity<PipelinePrecalcBody>()),
-          Ctx, PrecalcKernelTiming));
-
-      PushBodies.push_back(
-          PipelinePushBody{View, Buf, TypesPtr, Begin, Dt, C});
-      exec::LaunchSpec PushSpec;
-      PushSpec.Items = End - Begin;
-      PushSpec.StepBegin = Steps;
-      PushSpec.StepEnd = Steps + 1;
-      PushSpec.DependsOn.push_back(PrecalcEvents.back());
-      PushKernelTiming.SpecsBuilt += 1;
-      PushEvents.push_back(Exec.submit(
-          PushSpec,
-          exec::StepKernel(PushBodies.back(),
-                           exec::kernelIdentity<PipelinePushBody>()),
-          Ctx, PushKernelTiming));
-    }
-    for (const exec::ExecEvent &Ev : PrecalcEvents)
-      Ev.wait();
-    for (const exec::ExecEvent &Ev : PushEvents)
-      Ev.wait();
-
-    const double WallNs = double(Wall.elapsedNanoseconds());
-    PushTiming.HostNs += WallNs; // stage-1 stats stay wall-clock true
-    PushTiming.ModeledNs += WallNs;
-    PipelineTiming.WallNs += WallNs;
-    PipelineTiming.PrecalcNs = PrecalcKernelTiming.HostNs;
-    PipelineTiming.PushNs = PushKernelTiming.HostNs;
-    return PushEvents;
-  }
   /// The push backend's shard-resource surface, or nullptr when the
   /// backend is not sharded. (shardCount() is the cheap capability
   /// query; the interface is needed for the per-shard arenas — the
@@ -1264,8 +1010,8 @@ private:
   /// particle replays the fused kernel's exact operation sequence, so
   /// the result is bit-identical to the serial stage for every shard
   /// count (tests/pic/ShardEquivalenceTest.cpp).
-  /// \returns the push launches' events (already waited — they gate the
-  /// downstream wrap node when a graph capture records this stage).
+  /// \returns the push launches' events (already waited; they still gate
+  /// the wrap launch, so a captured graph keeps the edges).
   /// Arenas always come from the concrete sharded backend; submissions
   /// go through \p Exec so a graph-capturing wrapper can record them.
   std::vector<exec::ExecEvent>
@@ -1278,14 +1024,7 @@ private:
     const Index Blocks =
         exec::clampSlabCount(N, Index(Backend->shardCount()));
 
-    // Kernel bodies live in member vectors (cleared, not reallocated —
-    // stable addresses for the captured graph, nothing allocated in
-    // steady state) until every event below is waited.
-    PrecalcBodies.clear();
-    PushBodies.clear();
     std::vector<exec::ExecEvent> PushEvents;
-    PrecalcBodies.reserve(std::size_t(Blocks));
-    PushBodies.reserve(std::size_t(Blocks));
     PushEvents.reserve(std::size_t(Blocks));
 
     // After a fired rebalance the even split gives way to the
@@ -1313,57 +1052,20 @@ private:
       auto *Buf = static_cast<FieldSample<Real> *>(Sharded->shardArena(
           int(S), sizeof(FieldSample<Real>) * std::size_t(R.size())));
 
-      PrecalcBodies.push_back(PipelinePrecalcBody{View, Interp, OldPos, Buf,
-                                                  R.Begin, &StepParams});
-      exec::LaunchSpec PrecalcSpec;
-      PrecalcSpec.Items = R.size();
-      PrecalcSpec.StepBegin = Steps;
-      PrecalcSpec.StepEnd = Steps + 1;
-      PrecalcSpec.ShardAffinity = int(S);
-      PrecalcKernelTiming.SpecsBuilt += 1;
-      const exec::ExecEvent Sampled = Exec.submit(
-          PrecalcSpec,
-          exec::StepKernel(PrecalcBodies.back(),
-                           exec::kernelIdentity<PipelinePrecalcBody>()),
-          Ctx, PrecalcKernelTiming);
-
-      PushBodies.push_back(
-          PipelinePushBody{View, Buf, TypesPtr, R.Begin, Dt, C});
-      exec::LaunchSpec PushSpec;
-      PushSpec.Items = R.size();
-      PushSpec.StepBegin = Steps;
-      PushSpec.StepEnd = Steps + 1;
-      PushSpec.ShardAffinity = int(S);
-      PushSpec.DependsOn.push_back(Sampled);
-      PushKernelTiming.SpecsBuilt += 1;
-      PushEvents.push_back(Exec.submit(
-          PushSpec,
-          exec::StepKernel(PushBodies.back(),
-                           exec::kernelIdentity<PipelinePushBody>()),
-          Ctx, PushKernelTiming));
+      const exec::ExecEvent Sampled = exec::submitCachedLaunch(
+          Exec, Ctx, PrecalcKernelTiming, R.size(), /*GrainHint=*/0,
+          PrecalcBody{View, Interp, OldPos, Buf, R.Begin, &StepParams}, {},
+          StageCache, /*ShardAffinity=*/int(S));
+      PushEvents.push_back(exec::submitCachedLaunch(
+          Exec, Ctx, PushKernelTiming, R.size(), /*GrainHint=*/0,
+          SamplePushBody{View, Buf, TypesPtr, R.Begin, Dt, C}, {Sampled},
+          StageCache, /*ShardAffinity=*/int(S)));
     }
     for (const exec::ExecEvent &Ev : PushEvents)
       Ev.wait();
 
-    const double WallNs = double(Wall.elapsedNanoseconds());
-    PushTiming.HostNs += WallNs; // stage-1 stats stay wall-clock true
-    PushTiming.ModeledNs += WallNs;
+    addWall(PushTiming, Wall); // stage-1 stats stay wall-clock true
     return PushEvents;
-  }
-
-  /// The pipeline chunk size for an ensemble of \p N: ceil(N / R) where
-  /// R is the requested chunk count — the explicit option, or two
-  /// chunks per lane (enough to keep every lane busy while the double
-  /// buffer recycles), clamped to the ensemble size. The executed chunk
-  /// count is ceil(N / chunk size), which can be less than R.
-  Index pipelineChunkSize(Index N) const {
-    int Requested = Options.PushPipelineChunks > 0
-                        ? Options.PushPipelineChunks
-                        : 2 * std::max(1, Backend->concurrency());
-    if (Index(Requested) > N && N > 0)
-      Requested = int(N);
-    Requested = std::max(1, Requested);
-    return (N + Requested - 1) / Requested;
   }
 
   /// The nine field lattices in checkpoint order (Ex..Bz, Jx..Jz) —
@@ -1376,6 +1078,35 @@ private:
           &Grid.Jx, &Grid.Jy, &Grid.Jz})
       Fields.push_back({L->raw().data(), Index(L->raw().size())});
     return Fields;
+  }
+
+  /// Checks a just-loaded checkpoint against this run: every particle
+  /// type indexes the type table (the push reads it unchecked), every
+  /// position and momentum component is finite (the deposit's periodic
+  /// wrap never terminates on one that is not), and the window block
+  /// lies in range (GridWindow's ring addressing assumes it). \returns a
+  /// one-line reason, or an empty string when the state is valid.
+  std::string restoredStateError(const CheckpointWindow &Win) const {
+    const Index Nx = Grid.size().Nx;
+    if (Win.PhysBase < 0 || Win.PhysBase >= Nx)
+      return "window PhysBase " + std::to_string(Win.PhysBase) +
+             " outside [0, " + std::to_string(Nx) + ")";
+    if (Win.OriginPlanes < 0 || Win.ShiftCount < 0)
+      return "negative window OriginPlanes or ShiftCount";
+    auto View = Particles.view();
+    for (Index I = 0, E = View.size(); I < E; ++I) {
+      const ParticleT<Real> P = View[I].load();
+      if (P.Type < 0 || P.Type >= Types.count())
+        return "particle " + std::to_string(I) + " has type " +
+               std::to_string(P.Type) + ", outside the " +
+               std::to_string(Types.count()) + "-species table";
+      for (Real V : {P.Position.X, P.Position.Y, P.Position.Z, P.Momentum.X,
+                     P.Momentum.Y, P.Momentum.Z})
+        if (!std::isfinite(V))
+          return "particle " + std::to_string(I) +
+                 " has a non-finite position or momentum";
+    }
+    return {};
   }
 
   /// The tile-count heuristic shared by the deposit and field stages:
@@ -1413,24 +1144,19 @@ private:
   std::unique_ptr<minisycl::queue> Queue;
   std::vector<Vector3<Real>> OldPositions;
   std::vector<Vector3<Real>> NewPositions;
-  std::vector<FieldSample<Real>> PipelineSamples[2]; ///< the double buffer
   RunStats PushTiming;
   RunStats DepositTiming;
   RunStats FieldTiming;
-  RunStats PrecalcKernelTiming; ///< pipeline precalc kernels only
-  RunStats PushKernelTiming;    ///< pipeline push kernels only
+  RunStats PrecalcKernelTiming; ///< sharded precalc kernels only
+  RunStats PushKernelTiming;    ///< sharded push kernels only
   RunStats DepositLaunchStats;  ///< deposit-chain launch ledger
   RunStats FieldLaunchStats;    ///< field-chain launch ledger
   RunStats GraphTiming;         ///< graph-mode step wall (capture+replay)
-  PicPipelineStats PipelineTiming;
   exec::ParamBlock StepParams; ///< per-step rebinding surface
   Stopwatch AsyncStepWatch;    ///< submitStepAsync -> finishStepAsync wall
-  exec::KernelCache StageCache; ///< stage-level bodies (push/wrap/clear)
+  exec::KernelCache StageCache; ///< clear, stage-1 and wrap bodies
   exec::KernelCache ChainCache; ///< deposit + field chain bodies
-  std::vector<PipelinePrecalcBody> PrecalcBodies; ///< stage-1 bodies
-  std::vector<PipelinePushBody> PushBodies;       ///< (stable addresses)
   std::unique_ptr<exec::StepGraph> Graph;
-  std::unique_ptr<exec::GraphCapture> PushCap, DepositCap, FieldCap;
   Index GraphN = Index(-1); ///< ensemble size the graph was captured at
   long long GraphCaptures = 0;
   long long GraphReplays = 0;

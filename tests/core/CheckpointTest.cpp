@@ -7,19 +7,23 @@
 // The checkpoint contracts: layout-independent round trips (an AoS
 // ensemble restores bitwise into an SoA one and back), full-state (v2)
 // round trips preserving step index / time / field bits, and damage
-// rejection — truncated files, foreign magic, wrong scalar width, and
-// version confusion all fail with a one-line reason instead of
-// crashing or silently mis-restoring.
+// rejection — truncated files, foreign magic, wrong scalar width,
+// version confusion, and well-formed files whose particles or window a
+// PIC run cannot step all fail with a one-line reason instead of
+// crashing, hanging or silently mis-restoring.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/Checkpoint.h"
+#include "pic/PicSimulation.h"
 
 #include "gtest/gtest.h"
 
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
+#include <memory>
 
 using namespace hichi;
 
@@ -334,6 +338,92 @@ TEST(CheckpointTest, LegacyV2FileLoadsWithWindowAtRest) {
                            Field.size() * sizeof(double)));
   expectBitwiseEqual(Saved, Restored);
   std::remove(Path.c_str());
+}
+
+/// A small fixed-window PIC run (8x4x4 grid, 16 electrons).
+std::unique_ptr<pic::PicSimulation<double>> makeSmallSimulation() {
+  pic::PicOptions<double> Options;
+  Options.LightVelocity = 1.0;
+  auto Sim = std::make_unique<pic::PicSimulation<double>>(
+      GridSize{8, 4, 4}, Vector3<double>{0, 0, 0},
+      Vector3<double>{0.5, 0.5, 0.5}, 16,
+      ParticleTypeTable<double>::natural(), Options);
+  for (int I = 0; I < 16; ++I) {
+    ParticleT<double> P;
+    P.Position = {0.1 + 0.2 * I, 0.3, 0.7};
+    P.Momentum = {0.01, -0.02, 0.005};
+    P.Weight = 0.05;
+    P.Type = PS_Electron;
+    Sim->addParticle(P);
+  }
+  Sim->run(3);
+  return Sim;
+}
+
+/// Byte offsets into a v3 double-precision checkpoint: the window block
+/// follows the two headers, and particle records (8 scalars + int16
+/// type) follow the window block.
+constexpr long WindowOffset = long(sizeof(checkpoint_detail::Header) +
+                                   sizeof(checkpoint_detail::StateHeader));
+constexpr long SecondParticleOffset =
+    WindowOffset + long(sizeof(checkpoint_detail::WindowBlock)) +
+    long(8 * sizeof(double) + sizeof(std::int16_t));
+
+/// Saves a small run, overwrites the bytes at \p Offset with \p Value,
+/// and expects restoreState() to refuse the file with a one-line reason
+/// containing \p Expected. The refused run must still step (its
+/// ensemble is emptied, so nothing reads the corrupt records).
+template <typename T>
+void expectPatchedRestoreRejected(const char *Name, long Offset, T Value,
+                                  const char *Expected) {
+  const std::string Path = tempPath(Name);
+  std::string Error;
+  ASSERT_TRUE(makeSmallSimulation()->saveState(Path, &Error)) << Error;
+  std::FILE *File = std::fopen(Path.c_str(), "r+b");
+  ASSERT_NE(File, nullptr);
+  ASSERT_EQ(std::fseek(File, Offset, SEEK_SET), 0);
+  ASSERT_EQ(std::fwrite(&Value, sizeof(T), 1, File), std::size_t(1));
+  std::fclose(File);
+
+  auto Sim = makeSmallSimulation();
+  EXPECT_FALSE(Sim->restoreState(Path, &Error));
+  EXPECT_NE(Error.find(Expected), std::string::npos) << Error;
+  EXPECT_EQ(Error.find('\n'), std::string::npos) << Error;
+  EXPECT_EQ(Sim->particles().size(), 0);
+  Sim->run(2);
+  std::remove(Path.c_str());
+}
+
+TEST(CheckpointTest, RestoreRejectsParticleTypeOutsideTable) {
+  expectPatchedRestoreRejected("ckpt_bad_type.ckpt",
+                               SecondParticleOffset + 8 * sizeof(double),
+                               std::int16_t(30000), "has type 30000");
+  expectPatchedRestoreRejected("ckpt_negative_type.ckpt",
+                               SecondParticleOffset + 8 * sizeof(double),
+                               std::int16_t(-1), "has type -1");
+}
+
+TEST(CheckpointTest, RestoreRejectsNonFinitePositionOrMomentum) {
+  expectPatchedRestoreRejected("ckpt_nan_position.ckpt", SecondParticleOffset,
+                               std::numeric_limits<double>::quiet_NaN(),
+                               "non-finite position or momentum");
+  expectPatchedRestoreRejected("ckpt_inf_momentum.ckpt",
+                               SecondParticleOffset + 4 * sizeof(double),
+                               std::numeric_limits<double>::infinity(),
+                               "non-finite position or momentum");
+}
+
+TEST(CheckpointTest, RestoreRejectsWindowOutOfRange) {
+  // Block order: OriginPlanes, PhysBase, ShiftCount.
+  expectPatchedRestoreRejected("ckpt_bad_physbase.ckpt", WindowOffset + 8,
+                               std::int64_t(8), "PhysBase 8 outside [0, 8)");
+  expectPatchedRestoreRejected("ckpt_negative_physbase.ckpt",
+                               WindowOffset + 8, std::int64_t(-1),
+                               "PhysBase -1 outside [0, 8)");
+  expectPatchedRestoreRejected("ckpt_negative_origin.ckpt", WindowOffset,
+                               std::int64_t(-4), "negative window");
+  expectPatchedRestoreRejected("ckpt_negative_shifts.ckpt", WindowOffset + 16,
+                               std::int64_t(-1), "negative window");
 }
 
 } // namespace

@@ -151,8 +151,9 @@ TEST(CalibrationTest, StagePredictionsScaleUntilBandwidthSaturates) {
   // 12 GB/s would be 48 GB/s, but the synthetic socket delivers 20.
   const double SocketBw = M.LocalBandwidthPerSocket;
   const double FourCoreBw = 4.0 * M.PerCoreBandwidth;
-  if (FourCoreBw > SocketBw)
+  if (FourCoreBw > SocketBw) {
     EXPECT_GT(Four.MemoryNs, One.MemoryNs / 4.0);
+  }
 }
 
 TEST(CalibrationTest, BoundedMeasurementProducesASaneProfile) {

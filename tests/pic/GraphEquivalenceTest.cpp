@@ -14,7 +14,9 @@
 /// particle layout, including the sharded backend across shard counts
 /// and explicit deposit/field tile counts. Replay must also be cheaper
 /// to issue: the launch ledger of a graph run stays at the capture
-/// step's counts while the resubmitting run pays them every step.
+/// step's counts while the resubmitting run pays them every step — and
+/// those counts are the same, because a classic step submits the very
+/// DAG a capture step records.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,6 +30,7 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
 
 using namespace hichi;
 using namespace hichi::pic;
@@ -180,6 +183,53 @@ TEST(GraphEquivalenceTest, ReplayLedgerStaysAtCaptureCounts) {
   EXPECT_GT(Graph.Launches, 0);
   EXPECT_LT(Graph.Launches, Resubmit.Launches);
   EXPECT_LT(Graph.SpecsBuilt, Resubmit.SpecsBuilt);
+}
+
+/// Launch-ledger parity: a classic step submits the very DAG a capture
+/// step records, so one classic step's Launches/SpecsBuilt delta must
+/// equal the capture step's delta of an otherwise identical graph run —
+/// on every stage-1 shape (fused, asynchronous, sharded).
+TEST(GraphEquivalenceTest, ClassicStepLedgerMatchesCaptureStep) {
+  // The submitOverhead() delta of step \p StepToMeasure.
+  auto StepLedger = [](const std::string &Backend, int Threads,
+                       bool UseGraph, int StepToMeasure) {
+    const GridSize N{8, 4, 4};
+    PicOptions<double> Options;
+    Options.LightVelocity = 1.0;
+    Options.PushBackend = Backend;
+    Options.DepositBackend = Backend;
+    Options.FieldBackend = Backend;
+    Options.PushThreads = Threads;
+    Options.DepositThreads = Threads;
+    Options.FieldThreads = Threads;
+    Options.UseStepGraph = UseGraph;
+    PicSimulation<double> Sim(N, {0, 0, 0}, {0.5, 0.5, 0.5}, 64,
+                              ParticleTypeTable<double>::natural(), Options);
+    for (int P = 0; P < 64; ++P) {
+      ParticleT<double> Particle;
+      Particle.Position = {0.1 + 0.05 * P, 0.3, 0.7};
+      Particle.Momentum = {0.01, 0, 0};
+      Particle.Weight = 0.05;
+      Particle.Type = PS_Electron;
+      Sim.addParticle(Particle);
+    }
+    Sim.run(StepToMeasure);
+    const RunStats Before = Sim.submitOverhead();
+    Sim.step();
+    const RunStats After = Sim.submitOverhead();
+    return std::make_pair(After.Launches - Before.Launches,
+                          After.SpecsBuilt - Before.SpecsBuilt);
+  };
+  const std::pair<const char *, int> Configs[] = {
+      {"serial", 1}, {"openmp", 2}, {"dpcpp", 2}, {"async-pipeline", 2},
+      {"sharded", 3}};
+  for (const auto &[Backend, Threads] : Configs) {
+    const auto Capture = StepLedger(Backend, Threads, /*UseGraph=*/true, 0);
+    const auto Classic = StepLedger(Backend, Threads, /*UseGraph=*/false, 2);
+    EXPECT_GT(Capture.first, 0) << Backend;
+    EXPECT_EQ(Classic.first, Capture.first) << Backend << " launches";
+    EXPECT_EQ(Classic.second, Capture.second) << Backend << " specs built";
+  }
 }
 
 /// Invalidation: growing the ensemble mid-run must discard the captured

@@ -151,15 +151,20 @@ TEST(TiledDepositionTest, TileCountClampsToPlaneCount) {
 //===----------------------------------------------------------------------===//
 
 /// A small Langmuir-style simulation advanced \p Steps steps, with the
-/// deposit stage configured as requested; \returns the full state hash.
+/// deposit (and optionally the push) stage configured as requested;
+/// \returns the full state hash.
 template <typename Array>
 std::uint64_t simulationHash(const std::string &DepositBackend, int Tiles,
-                             int Threads, bool ChargeConserving, int Steps) {
+                             int Threads, bool ChargeConserving, int Steps,
+                             const std::string &PushBackend = "serial",
+                             int PushThreads = 0) {
   const GridSize N{12, 4, 4};
   PicOptions<double> Options;
   Options.LightVelocity = 1.0;
   Options.SortEveryNSteps = 7; // exercise re-sorting mid-run
   Options.ChargeConserving = ChargeConserving;
+  Options.PushBackend = PushBackend;
+  Options.PushThreads = PushThreads;
   Options.DepositBackend = DepositBackend;
   Options.DepositTiles = Tiles;
   Options.DepositThreads = Threads;
@@ -230,77 +235,31 @@ TEST(TiledDepositionTest, SimulationHashInvariantForDirectScheme) {
         << "backend=" << Name;
 }
 
-/// Like simulationHash, but configures the *push* stage: asynchronous
-/// push backends run stage 1 as the double-buffered precalc/push
-/// pipeline (PicSimulation.h), which must reproduce the fused serial
-/// stage bit-for-bit for every lane count x chunk count x deposit
-/// configuration.
-template <typename Array>
-std::uint64_t pipelineSimulationHash(const std::string &PushBackend,
-                                     int Lanes, int Chunks,
-                                     const std::string &DepositBackend,
-                                     int Tiles, int Steps) {
-  const GridSize N{12, 4, 4};
-  PicOptions<double> Options;
-  Options.LightVelocity = 1.0;
-  Options.SortEveryNSteps = 7;
-  Options.PushBackend = PushBackend;
-  Options.PushThreads = Lanes;
-  Options.PushPipelineChunks = Chunks;
-  Options.DepositBackend = DepositBackend;
-  Options.DepositTiles = Tiles;
-  const int PerCell = 2;
-  PicSimulation<double, Array> Sim(N, {0, 0, 0}, {0.5, 0.5, 0.5},
-                                   N.count() * PerCell,
-                                   ParticleTypeTable<double>::natural(),
-                                   Options);
-  for (Index C = 0; C < N.count(); ++C) {
-    const Index I = C / (N.Ny * N.Nz);
-    const Index J = (C / N.Nz) % N.Ny;
-    const Index K = C % N.Nz;
-    for (int P = 0; P < PerCell; ++P) {
-      ParticleT<double> Particle;
-      Particle.Position = {(double(I) + 0.25 + 0.5 * P) * 0.5,
-                           (double(J) + 0.5) * 0.5, (double(K) + 0.5) * 0.5};
-      const double Vx =
-          0.02 * std::sin(2.0 * constants::Pi * Particle.Position.X / 6.0);
-      Particle.Momentum = {Vx / std::sqrt(1 - Vx * Vx), 0, 0};
-      Particle.Weight = 0.05;
-      Particle.Type = PS_Electron;
-      Sim.addParticle(Particle);
-    }
-  }
-  Sim.run(Steps);
-  return picStateHash(Sim.particles(), Sim.grid());
-}
-
-TEST(TiledDepositionTest, SimulationHashInvariantForAsyncPushPipeline) {
-  const std::uint64_t Reference = pipelineSimulationHash<
-      ParticleArrayAoS<double>>("serial", 0, 0, "serial", 1, 30);
+/// An asynchronous push backend runs stage 1 as the same fused launch,
+/// event-chained into the wrap, so it must reproduce the all-serial loop
+/// bit-for-bit for every lane count and deposit configuration.
+TEST(TiledDepositionTest, SimulationHashInvariantForAsyncPushBackend) {
+  const std::uint64_t Reference =
+      simulationHash<ParticleArrayAoS<double>>("serial", 1, 0, true, 30);
   for (int Lanes : {1, 2, 4})
-    for (int Chunks : {0, 1, 3, 8})
-      EXPECT_EQ(pipelineSimulationHash<ParticleArrayAoS<double>>(
-                    "async-pipeline", Lanes, Chunks, "serial", 1, 30),
-                Reference)
-          << "lanes=" << Lanes << " chunks=" << Chunks;
-  // Async push combined with parallel tiled deposition — the full
-  // pipelined loop against the all-serial reference.
-  EXPECT_EQ(pipelineSimulationHash<ParticleArrayAoS<double>>(
-                "async-pipeline", 2, 0, "openmp", 5, 30),
+    EXPECT_EQ(simulationHash<ParticleArrayAoS<double>>(
+                  "serial", 1, 0, true, 30, "async-pipeline", Lanes),
+              Reference)
+        << "lanes=" << Lanes;
+  // Async push combined with parallel tiled deposition.
+  EXPECT_EQ(simulationHash<ParticleArrayAoS<double>>(
+                "openmp", 5, 0, true, 30, "async-pipeline", 2),
             Reference);
-  EXPECT_EQ(pipelineSimulationHash<ParticleArrayAoS<double>>(
-                "async-pipeline", 2, 4, "async-pipeline", 3, 30),
+  EXPECT_EQ(simulationHash<ParticleArrayAoS<double>>(
+                "async-pipeline", 3, 0, true, 30, "async-pipeline", 2),
             Reference);
 }
 
-TEST(TiledDepositionTest, SimulationHashInvariantForAsyncPushPipelineSoA) {
-  const std::uint64_t Reference = pipelineSimulationHash<
-      ParticleArraySoA<double>>("serial", 0, 0, "serial", 1, 25);
-  for (int Chunks : {0, 5})
-    EXPECT_EQ(pipelineSimulationHash<ParticleArraySoA<double>>(
-                  "async-pipeline", 2, Chunks, "dpcpp", 4, 25),
-              Reference)
-        << "chunks=" << Chunks;
+TEST(TiledDepositionTest, SimulationHashInvariantForAsyncPushBackendSoA) {
+  EXPECT_EQ(simulationHash<ParticleArraySoA<double>>(
+                "dpcpp", 4, 0, true, 25, "async-pipeline", 2),
+            simulationHash<ParticleArraySoA<double>>("serial", 1, 0, true,
+                                                     25));
 }
 
 //===----------------------------------------------------------------------===//
