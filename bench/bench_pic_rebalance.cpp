@@ -80,8 +80,8 @@ template <typename Sim> double depositWorkImbalance(const Sim &S) {
 
 /// One measured configuration of the drifting slab: \p Shards == 0 is
 /// the serial loop; \p Rebalance arms the occupancy-skew rebalancer.
-/// Warmup runs one iteration's worth of steps first (first-touch,
-/// arenas, the initial graph capture).
+/// Warmup runs one iteration's worth of steps first (first-touch, shard
+/// lanes, the initial graph capture).
 StepResult measureConfig(const GridSize &N, int PairsPerCell, int Shards,
                          bool Rebalance, const BenchSizes &Sizes) {
   const ScenarioSetup<double> S =

@@ -91,7 +91,7 @@ StepResult measureConfig(const GridSize &N, int PerCell, int Shards,
   }
 
   StepResult Out;
-  Sim.run(Sizes.StepsPerIteration); // warmup (first-touch, arenas, lanes)
+  Sim.run(Sizes.StepsPerIteration); // warmup (first-touch, lanes)
   double Total = 0;
   for (int It = 0; It < Sizes.Iterations; ++It) {
     Stopwatch Watch;

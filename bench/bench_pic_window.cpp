@@ -56,7 +56,7 @@ struct WindowResult {
 
 /// One measured configuration of the moving-window scenario: \p Shards
 /// == 0 is the serial loop. Warmup runs one iteration's worth of steps
-/// first (first-touch, arenas, the initial graph capture).
+/// first (first-touch, shard lanes, the initial graph capture).
 WindowResult measureConfig(const GridSize &N, int PairsPerCell, int Shards,
                            const BenchSizes &Sizes) {
   const ScenarioSetup<double> S =

@@ -83,7 +83,7 @@ MixResult measureMix(const std::vector<JobSpec> &Specs,
         Out.HashesOk = false;
     }
     if (It == 0)
-      continue; // warmup: pool lanes spun up, arenas first-touched
+      continue; // warmup: pool lanes spun up, pages first-touched
     Out.Wall.IterationNs.push_back(WallNs);
     Out.FusedRounds = Sched.fusedRounds();
   }

@@ -409,10 +409,8 @@ int main(int Argc, char **Argv) {
     };
     std::printf("submit-overhead ledger over %d steps:\n", TotalSteps);
     PrintLedger("push", Sim.pushStats());
-    if (Sim.shardCount() > 0) {
-      PrintLedger("  precalc", Sim.precalcKernelStats());
+    if (Sim.shardCount() > 0)
       PrintLedger("  push-krn", Sim.pushKernelStats());
-    }
     PrintLedger("deposit", Sim.depositLaunchStats());
     PrintLedger("field", Sim.fieldLaunchStats());
     PrintLedger("total", Sim.submitOverhead());

@@ -303,7 +303,7 @@ bool registerAutoBackend(BackendRegistry &Registry) {
         if (Config.Threads == 0)
           Delegated.Threads = Plan.Push.Threads;
         // Return the delegate itself (no wrapper): name(), shardCount()
-        // and dynamic_casts to shard interfaces must stay truthful.
+        // and shardStats() must stay truthful.
         return createBackend(Plan.Push.Backend, Delegated);
       });
 }

@@ -125,7 +125,7 @@ public:
 /// Registers the "auto" entry on \p Registry: a factory that resolves
 /// hostPlan() at creation time and delegates to the planned push-stage
 /// backend (the created object *is* the delegate — name(), shardCount()
-/// and the ShardResources interface all stay truthful). Called by the
+/// and shardStats() all stay truthful). Called by the
 /// BackendRegistry constructor; safe to call again (duplicate names are
 /// rejected).
 bool registerAutoBackend(BackendRegistry &Registry);

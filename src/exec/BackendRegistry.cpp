@@ -35,13 +35,13 @@ BackendRegistry::BackendRegistry() {
                   });
   registerBackend("async-pipeline",
                   "event-chained launches on pipeline lanes (non-blocking "
-                  "submit; overlaps PIC field precalc with the push)",
+                  "submit; dependency-free launches overlap across lanes)",
                   [](const BackendConfig &C) {
                     return std::make_unique<AsyncPipelineBackend>(C);
                   });
   registerBackend("sharded",
                   "persistent shards with per-shard FIFO lanes and "
-                  "first-touched arenas (threads = shard count)",
+                  "pinned workers (threads = shard count)",
                   [](const BackendConfig &C) {
                     return std::make_unique<ShardedBackend>(C);
                   });

@@ -198,6 +198,41 @@ struct LaunchSpec {
   std::vector<ExecEvent> DependsOn = {};
 };
 
+/// Lifetime counters of one shard, for occupancy/imbalance diagnostics
+/// (PicSimulation::shardStats(), pic_langmuir --shards,
+/// bench_pic_sharded).
+struct ShardStat {
+  long long Launches = 0; ///< block tasks executed (incl. empty blocks)
+  long long Items = 0;    ///< items processed across all launches
+  double BusyNs = 0;      ///< kernel busy time on this shard's worker
+};
+
+/// Max-over-mean processed items across shards: 1.0 = perfectly
+/// balanced, 2.0 = the busiest shard carried twice the average. 0 when
+/// nothing ran.
+inline double shardImbalance(const std::vector<ShardStat> &Stats) {
+  long long Total = 0, Max = 0;
+  for (const ShardStat &S : Stats) {
+    Total += S.Items;
+    Max = S.Items > Max ? S.Items : Max;
+  }
+  if (Total <= 0 || Stats.empty())
+    return 0.0;
+  return double(Max) * double(Stats.size()) / double(Total);
+}
+
+/// Busy-time occupancy of shard \p S relative to the busiest shard
+/// (1.0 = as busy as the bottleneck shard).
+inline double shardOccupancy(const std::vector<ShardStat> &Stats,
+                             std::size_t S) {
+  double Max = 0;
+  for (const ShardStat &Stat : Stats)
+    Max = Stat.BusyNs > Max ? Stat.BusyNs : Max;
+  if (S >= Stats.size() || Max <= 0)
+    return 0.0;
+  return Stats[S].BusyNs / Max;
+}
+
 /// An execution strategy for item loops. Implementations must be
 /// result-deterministic: any partitioning of [0, Items) is legal because
 /// block kernels are order-independent across items, but every
@@ -237,6 +272,14 @@ public:
   /// chains key off this (pic/PicSimulation.h,
   /// pic/TiledCurrentAccumulator.h).
   virtual int shardCount() const { return 0; }
+
+  /// Snapshot of the shards' lifetime counters, in shard order; empty
+  /// for non-sharded backends.
+  virtual std::vector<ShardStat> shardStats() const { return {}; }
+
+  /// Zeroes the shards' counters (a windowed-measurement reset); a
+  /// no-op for non-sharded backends.
+  virtual void resetShardStats() {}
 
   /// Enqueues \p Kernel over \p Spec (after Spec.DependsOn) and returns
   /// the launch's completion event. Timing accumulates into \p Stats no

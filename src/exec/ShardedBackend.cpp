@@ -7,12 +7,10 @@
 #include "exec/ShardedBackend.h"
 
 #include "exec/SlabPartition.h"
-#include "support/AlignedAllocator.h"
 #include "support/Timer.h"
 #include "threading/CoreBinding.h"
 
 #include <algorithm>
-#include <cstring>
 
 using namespace hichi;
 using namespace hichi::exec;
@@ -30,22 +28,11 @@ ShardedBackend::ShardedBackend(const BackendConfig &Config) {
             [this, S](Task &T) { runWorkerTask(S, T); }, /*Workers=*/1);
 }
 
-ShardedBackend::~ShardedBackend() {
-  drain();
-  for (Shard &Sh : Shards) {
-    Sh.Lane.reset(); // joins the lane thread before the arena goes away
-    alignedFree(Sh.ArenaData);
-  }
-}
+ShardedBackend::~ShardedBackend() { drain(); }
 
 void ShardedBackend::drain() {
   for (Shard &Sh : Shards)
     Sh.Lane->drain();
-  for (Shard &Sh : Shards) {
-    for (void *Old : Sh.RetiredArenas)
-      alignedFree(Old);
-    Sh.RetiredArenas.clear();
-  }
 }
 
 ExecEvent ShardedBackend::submitImpl(const LaunchSpec &Spec,
@@ -137,26 +124,6 @@ void ShardedBackend::runWorkerTask(int S, Task &T) {
   // for partitioned launches only the last retiring block signals.
   if (!T.Remaining || T.Remaining->fetch_sub(1) == 1)
     T.Done.signal();
-}
-
-void *ShardedBackend::shardArena(int S, std::size_t Bytes) {
-  Shard &Sh = Shards[std::size_t(S)];
-  if (Bytes == 0 || Sh.ArenaBytes >= Bytes)
-    return Sh.ArenaData;
-  const std::size_t NewBytes = std::max(Bytes, Sh.ArenaBytes * 2);
-  void *Fresh = alignedAlloc(NewBytes);
-  if (Sh.ArenaData) // launches in flight may still read the old buffer
-    Sh.RetiredArenas.push_back(Sh.ArenaData);
-  Sh.ArenaData = Fresh;
-  Sh.ArenaBytes = NewBytes;
-  // First touch on the owning lane: pushed before any later-submitted
-  // kernel task, so FIFO order guarantees the pages are placed (in the
-  // worker's NUMA domain under first-touch) before first use. Internal
-  // task: no event, no stats.
-  Task Touch;
-  Touch.Run = [Fresh, NewBytes] { std::memset(Fresh, 0, NewBytes); };
-  Sh.Lane->push(std::move(Touch));
-  return Fresh;
 }
 
 std::vector<ShardStat> ShardedBackend::shardStats() const {

@@ -12,20 +12,15 @@
 ///     like the thread pool's workers) draining
 ///   * a FIFO lane — a single-worker threading::InOrderWorkQueue, so
 ///     everything routed to one shard executes in submission order
-///     without any cross-shard synchronization, and
-///   * a first-touched arena — an aligned buffer whose pages are
-///     touched by the owning worker before any kernel uses them, so
-///     under Linux's first-touch policy the shard's staging data lands
-///     in the worker's NUMA domain (the paper's Section 4.3 arena idea
-///     carried from per-launch scheduling to persistent residency).
+///     without any cross-shard synchronization.
 ///
-/// This is the paper's data-locality thesis taken one step further than
-/// the per-launch NUMA split of dpcpp-numa: work does not merely *run*
-/// inside a domain for one launch — the same shard processes the same
-/// item slice every step, keeping its pages, its queue and its arena
-/// resident. It is also the stepping stone to multi-process/multi-node
-/// execution: a shard's lane + arena is exactly the seam a process
-/// boundary would cut along.
+/// This is the paper's data-locality thesis (Section 4.3) taken one
+/// step further than the per-launch NUMA split of dpcpp-numa: work does
+/// not merely *run* inside a domain for one launch — the same shard
+/// processes the same item slice every step, so the pages its worker
+/// first touched stay local to it. It is also the stepping stone to
+/// multi-process/multi-node execution: a shard's lane is exactly the
+/// seam a process boundary would cut along.
 ///
 /// Submission model (genuinely asynchronous — submit() returns before
 /// execution):
@@ -74,65 +69,8 @@
 namespace hichi {
 namespace exec {
 
-/// Lifetime counters of one shard, for occupancy/imbalance diagnostics
-/// (PicSimulation::shardStats(), pic_langmuir --shards,
-/// bench_pic_sharded).
-struct ShardStat {
-  long long Launches = 0; ///< block tasks executed (incl. empty blocks)
-  long long Items = 0;    ///< items processed across all launches
-  double BusyNs = 0;      ///< kernel busy time on this shard's worker
-};
-
-/// Max-over-mean processed items across shards: 1.0 = perfectly
-/// balanced, 2.0 = the busiest shard carried twice the average. 0 when
-/// nothing ran.
-inline double shardImbalance(const std::vector<ShardStat> &Stats) {
-  long long Total = 0, Max = 0;
-  for (const ShardStat &S : Stats) {
-    Total += S.Items;
-    Max = S.Items > Max ? S.Items : Max;
-  }
-  if (Total <= 0 || Stats.empty())
-    return 0.0;
-  return double(Max) * double(Stats.size()) / double(Total);
-}
-
-/// Busy-time occupancy of shard \p S relative to the busiest shard
-/// (1.0 = as busy as the bottleneck shard).
-inline double shardOccupancy(const std::vector<ShardStat> &Stats,
-                             std::size_t S) {
-  double Max = 0;
-  for (const ShardStat &Stat : Stats)
-    Max = Stat.BusyNs > Max ? Stat.BusyNs : Max;
-  if (S >= Stats.size() || Max <= 0)
-    return 0.0;
-  return Stats[S].BusyNs / Max;
-}
-
-/// The shard-resource surface drivers program against when they route
-/// per-shard work: arenas, occupancy counters, counter resets. The
-/// concrete ShardedBackend implements it over its own lanes; the serve
-/// layer's pool-client backend (serve/BackendPool.h) implements it over
-/// a *leased slice* of a shared pool's lanes — so PicSimulation's
-/// sharded stage-1 path, rebalancer stat windows and shard diagnostics
-/// work unchanged whether the backend owns its shards or borrows them.
-class ShardResources {
-public:
-  virtual ~ShardResources() = default;
-
-  /// Shard \p Shard's arena, grown to at least \p Bytes (see
-  /// ShardedBackend::shardArena for the lifetime/placement contract).
-  virtual void *shardArena(int Shard, std::size_t Bytes) = 0;
-
-  /// Snapshot of the shards' lifetime counters, in shard order.
-  virtual std::vector<ShardStat> shardStats() const = 0;
-
-  /// Zeroes the shards' counters (a windowed-measurement reset).
-  virtual void resetShardStats() = 0;
-};
-
 /// Persistent-shard execution backend ("sharded" in the registry).
-class ShardedBackend final : public ExecutionBackend, public ShardResources {
+class ShardedBackend final : public ExecutionBackend {
 public:
   /// \p Config.Threads is the shard count (0 = the default of 4; capped
   /// at 64). Lane threads are created lazily on first use, so idle
@@ -150,20 +88,8 @@ public:
   int shardCount() const override { return int(Shards.size()); }
 
   /// Blocks until every launch submitted so far has completed on every
-  /// shard, then releases retired arena buffers. Host-side only (the
-  /// destructor drains implicitly).
+  /// shard. Host-side only (the destructor drains implicitly).
   void drain();
-
-  /// \returns shard \p Shard's arena, grown to at least \p Bytes
-  /// (cache-line aligned; geometric growth, so the pointer is stable
-  /// until a larger request). On growth the new buffer is first-touched
-  /// by the owning worker *before* any later-submitted task on that
-  /// shard runs (FIFO order); a replaced buffer stays alive until the
-  /// next drain(), so launches still in flight keep a valid pointer.
-  /// Call from one host thread per shard at a time (distinct shards may
-  /// be driven by distinct threads — the serve layer leases disjoint
-  /// lane sets to concurrent scheduler workers).
-  void *shardArena(int Shard, std::size_t Bytes) override;
 
   /// Snapshot of every shard's lifetime counters, in shard order.
   std::vector<ShardStat> shardStats() const override;
@@ -190,7 +116,7 @@ public:
   /// pool-client backend (serve/BackendPool.h) forwards its whole
   /// submission stream through its leased slice, keeping concurrent
   /// jobs' kernels, ordering chains and latency isolated per lane set
-  /// while sharing the pool's persistent workers and arenas.
+  /// while sharing the pool's persistent workers.
   /// submitImpl() is exactly the full-width slice [0, shardCount()).
   ExecEvent submitSlice(const LaunchSpec &Spec, const StepKernel &Kernel,
                         RunStats &Stats, int LaneBegin, int LaneCount);
@@ -205,17 +131,14 @@ private:
   /// count-down of blocks still outstanding (the last block signals).
   struct Task {
     std::function<void()> Run;
-    ExecEvent Done; ///< default-constructed for internal (arena) tasks
+    ExecEvent Done;
     std::shared_ptr<std::atomic<int>> Remaining; ///< null = sole block
   };
 
   struct Shard {
     std::unique_ptr<threading::InOrderWorkQueue<Task>> Lane;
-    void *ArenaData = nullptr;
-    std::size_t ArenaBytes = 0;
-    std::vector<void *> RetiredArenas; ///< freed at the next drain
-    ShardStat Stats;                   ///< guarded by StatsMutex
-    bool WorkerBound = false;          ///< lane-thread-local pin flag
+    ShardStat Stats;          ///< guarded by StatsMutex
+    bool WorkerBound = false; ///< lane-thread-local pin flag
   };
 
   /// Enqueues one block [Begin, End) of \p Spec on shard \p S.

@@ -251,9 +251,6 @@ public:
   int concurrency() const override { return Base.concurrency(); }
   int shardCount() const override { return Base.shardCount(); }
 
-  /// The wrapped backend (drivers reach shard arenas etc. through it).
-  ExecutionBackend &base() { return Base; }
-
 protected:
   /// Records the node, forwards to the wrapped backend (an inner,
   /// uncounted submit — the thread-local depth in ExecutionBackend::

@@ -68,8 +68,8 @@ struct StagePrediction {
 /// Roofline of one PIC stage (WorkloadModel.h StageWorkload) on
 /// \p Machine with \p Threads threads, compact socket fill. Unlike
 /// predictCpuNsps this carries no NUMA remote fraction: the tuned
-/// placements it compares (static pools, first-touched shard arenas)
-/// keep traffic local by construction. The autotuner seeds its knob
+/// placements it compares (static pools, persistent shard lanes) keep
+/// traffic local by construction. The autotuner seeds its knob
 /// choices from this and hill-climbs from measured stats afterwards.
 StagePrediction predictStageNs(const CpuMachine &Machine,
                                const StageWorkload &Workload, int Threads,

@@ -48,7 +48,6 @@
 #include "core/EnsembleOps.h"
 #include "exec/Autotuner.h"
 #include "exec/BackendRegistry.h"
-#include "exec/ShardedBackend.h"
 #include "exec/SlabPartition.h"
 #include "exec/StepGraph.h"
 #include "pic/AbsorbingBoundary.h"
@@ -418,15 +417,14 @@ private:
     // the deposition needs both ends of the same move. One step per
     // launch: the deposition couples particles, so multi-step fusion is
     // not legal for the PIC loop.
+    const FusedPushBody Body{View, Interp, OldPos, TypesPtr, Dt, C,
+                             &StepParams, /*Offset=*/0};
     std::vector<exec::ExecEvent> PushDone;
-    if (PushSharded() && N > 0)
-      PushDone = shardedInterpPush(Push, View, Interp, OldPos, TypesPtr, Dt,
-                                   C, N, Ctx);
+    if (Push.shardCount() > 0 && N > 0)
+      PushDone = shardedInterpPush(Push, Body, N, Ctx);
     else
       PushDone.push_back(exec::submitCachedLaunch(
-          Push, Ctx, PushTiming, N, /*GrainHint=*/0,
-          FusedPushBody{View, Interp, OldPos, TypesPtr, Dt, C, &StepParams},
-          {}, StageCache));
+          Push, Ctx, PushTiming, N, /*GrainHint=*/0, Body, {}, StageCache));
 
     // Stage 2 — wrap positions back into the box, keeping the unwrapped
     // endpoints aside: the deposition needs the physical displacement.
@@ -544,8 +542,7 @@ private:
     ++PartitionEpoch;
     for (exec::ExecutionBackend *E :
          {Backend.get(), DepositExec.get(), FieldExec.get()})
-      if (auto *Sharded = dynamic_cast<exec::ShardResources *>(E))
-        Sharded->resetShardStats();
+      E->resetShardStats();
   }
 
   /// Injects fresh plasma into the \p Planes leading-edge planes the
@@ -636,8 +633,7 @@ private:
     // reflects the new split, not the skewed history.
     for (exec::ExecutionBackend *E :
          {Backend.get(), DepositExec.get(), FieldExec.get()})
-      if (auto *Sharded = dynamic_cast<exec::ShardResources *>(E))
-        Sharded->resetShardStats();
+      E->resetShardStats();
   }
 
 public:
@@ -772,9 +768,8 @@ public:
   /// deposit tail).
   const RunStats &fieldStats() const { return FieldTiming; }
 
-  /// Per-launch ledgers of the sharded stage-1 precalc/push kernels (all
-  /// zeros when stage 1 runs fused).
-  const RunStats &precalcKernelStats() const { return PrecalcKernelTiming; }
+  /// Per-launch ledger of the sharded stage 1's per-shard launches (all
+  /// zeros when stage 1 runs as one whole-ensemble launch).
   const RunStats &pushKernelStats() const { return PushKernelTiming; }
 
   /// Per-launch ledger of the deposit chain (clear + bin + accumulate +
@@ -802,16 +797,16 @@ public:
   const exec::StepGraph *stepGraph() const { return Graph.get(); }
 
   /// Submit-overhead totals across every per-launch ledger the step
-  /// touches (stage-1 push/precalc/push-kernel stats plus the deposit
-  /// and field chains): launches submitted, specs constructed, and wall
-  /// nanoseconds inside submit() outside kernel bodies. Timing fields
+  /// touches (stage-1 push and per-shard push-kernel stats plus the
+  /// deposit and field chains): launches submitted, specs constructed,
+  /// and wall nanoseconds inside submit() outside kernel bodies. Timing fields
   /// are left zero — this is the launch-bookkeeping view, not a wall
   /// clock.
   RunStats submitOverhead() const {
     RunStats Total;
     for (const RunStats *S :
-         {&PushTiming, &PrecalcKernelTiming, &PushKernelTiming,
-          &DepositLaunchStats, &FieldLaunchStats}) {
+         {&PushTiming, &PushKernelTiming, &DepositLaunchStats,
+          &FieldLaunchStats}) {
       Total.Launches += S->Launches;
       Total.SpecsBuilt += S->SpecsBuilt;
       Total.SubmitNs += S->SubmitNs;
@@ -830,10 +825,7 @@ public:
     std::vector<exec::ShardStat> Total;
     for (const exec::ExecutionBackend *B :
          {Backend.get(), DepositExec.get(), FieldExec.get()}) {
-      const auto *Sharded = dynamic_cast<const exec::ShardResources *>(B);
-      if (!Sharded)
-        continue;
-      const std::vector<exec::ShardStat> Stage = Sharded->shardStats();
+      const std::vector<exec::ShardStat> Stage = B->shardStats();
       if (Stage.size() > Total.size())
         Total.resize(Stage.size());
       for (std::size_t S = 0; S < Stage.size(); ++S) {
@@ -889,51 +881,12 @@ public:
 private:
   using ViewT = decltype(std::declval<Array &>().view());
 
-  /// The precalc half of the sharded stage 1: samples the grid fields at
-  /// every particle of one shard's slice into the shard's arena, stashing
-  /// the unwrapped old position — exactly the reads the fused kernel
-  /// does, in the same per-particle order.
-  struct PrecalcBody {
-    ViewT View;
-    YeeInterpolator<Real> Interp;
-    Vector3<Real> *OldPos;
-    FieldSample<Real> *Samples;
-    Index Offset;
-    const exec::ParamBlock *Params; ///< Scalars[0] = simulation time
-
-    void operator()(Index Begin, Index End, int, int) const {
-      const Real Time = Real(Params->Scalars[0]);
-      for (Index I = Begin; I < End; ++I) {
-        auto P = View[Offset + I];
-        const Vector3<Real> Pos = P.position();
-        OldPos[Offset + I] = Pos;
-        Samples[I] = Interp(Pos, Time, Offset + I);
-      }
-    }
-  };
-
-  /// The push half: consumes the slice's sample buffer. The value
-  /// round-trip through the buffer is bitwise exact, so the Boris update
-  /// equals the fused kernel's.
-  struct SamplePushBody {
-    ViewT View;
-    const FieldSample<Real> *Samples;
-    const ParticleTypeInfo<Real> *Types;
-    Index Offset;
-    Real Dt, C;
-
-    void operator()(Index Begin, Index End, int, int) const {
-      for (Index I = Begin; I < End; ++I) {
-        auto P = View[Offset + I];
-        BorisPusher::push<Real>(P, Samples[I], Types, Dt, C);
-      }
-    }
-  };
-
-  /// The fused interpolate+push kernel of stage 1 — a named body (not a
-  /// step()-local lambda) so it can live in the reusable kernel cache
-  /// across steps and a captured graph can keep pointing at it; the
-  /// per-step simulation time flows in through the ParamBlock.
+  /// The interpolate+push kernel of stage 1, the one body every backend
+  /// runs — a named body (not a step()-local lambda) so it can live in
+  /// the reusable kernel cache across steps and a captured graph can
+  /// keep pointing at it; the per-step simulation time flows in through
+  /// the ParamBlock. Launch item I is particle Offset + I: 0 for the
+  /// whole-ensemble launch, the block start for a per-shard one.
   struct FusedPushBody {
     ViewT View;
     YeeInterpolator<Real> Interp;
@@ -941,10 +894,11 @@ private:
     const ParticleTypeInfo<Real> *Types;
     Real Dt, C;
     const exec::ParamBlock *Params; ///< Scalars[0] = simulation time
+    Index Offset;
 
     void operator()(Index Begin, Index End, int, int) const {
       const Real Time = Real(Params->Scalars[0]);
-      for (Index I = Begin; I < End; ++I) {
+      for (Index I = Offset + Begin, E = Offset + End; I < E; ++I) {
         auto P = View[I];
         const Vector3<Real> Pos = P.position();
         OldPos[I] = Pos;
@@ -988,50 +942,30 @@ private:
     Stats.ModeledNs += Ns;
   }
 
-  /// The push backend's shard-resource surface, or nullptr when the
-  /// backend is not sharded. (shardCount() is the cheap capability
-  /// query; the interface is needed for the per-shard arenas — the
-  /// concrete type may be a ShardedBackend or the serve layer's
-  /// pool-client lease over one.)
-  exec::ShardResources *PushSharded() const {
-    return Backend->shardCount() > 0
-               ? dynamic_cast<exec::ShardResources *>(Backend.get())
-               : nullptr;
-  }
-
-  /// Stage 1 on the sharded backend: the ensemble splits once into the
+  /// Stage 1 on a sharded backend: the ensemble splits into the
   /// backend's persistent shards (the shared slab partition, so shard s
-  /// owns the same particle slice every step). Each shard runs a
-  /// precalc launch (field samples into the shard's first-touched
-  /// arena, old positions stashed) chained to a push launch consuming
-  /// them, both routed to the shard's lane by affinity — so shards
-  /// proceed independently, with no cross-shard barrier until the final
-  /// wait. The sample-buffer round-trip is bitwise exact and every
-  /// particle replays the fused kernel's exact operation sequence, so
-  /// the result is bit-identical to the serial stage for every shard
-  /// count (tests/pic/ShardEquivalenceTest.cpp).
-  /// \returns the push launches' events (already waited; they still gate
-  /// the wrap launch, so a captured graph keeps the edges).
-  /// Arenas always come from the concrete sharded backend; submissions
-  /// go through \p Exec so a graph-capturing wrapper can record them.
+  /// owns the same particle slice every step), and each shard runs
+  /// \p Body over its slice as one launch routed to its lane by
+  /// affinity — so shards proceed independently, with no cross-shard
+  /// barrier until the final wait. The push is per-particle-independent,
+  /// so the result is bit-identical to the serial stage for every shard
+  /// count (tests/pic/ShardEquivalenceTest.cpp). Submissions go through
+  /// \p Exec so a graph-capturing wrapper can record them.
+  /// \returns the per-shard launches' events (already waited; they still
+  /// gate the wrap launch, so a captured graph keeps the edges).
   std::vector<exec::ExecEvent>
-  shardedInterpPush(exec::ExecutionBackend &Exec, const ViewT &View,
-                    const YeeInterpolator<Real> &Interp,
-                    Vector3<Real> *OldPos,
-                    const ParticleTypeInfo<Real> *TypesPtr, Real Dt, Real C,
+  shardedInterpPush(exec::ExecutionBackend &Exec, FusedPushBody Body,
                     Index N, const exec::ExecutionContext &Ctx) {
-    exec::ShardResources *Sharded = PushSharded();
-    const Index Blocks =
-        exec::clampSlabCount(N, Index(Backend->shardCount()));
+    const Index Blocks = exec::clampSlabCount(N, Index(Exec.shardCount()));
 
     std::vector<exec::ExecEvent> PushEvents;
     PushEvents.reserve(std::size_t(Blocks));
 
     // After a fired rebalance the even split gives way to the
     // occupancy-weighted one: PushFractions (cumulative occupancy at
-    // the weighted plane boundaries) rescaled by the current N. The
-    // push is per-particle-independent, so ANY index partition is
-    // bit-identical — this re-split changes balance, never bits.
+    // the weighted plane boundaries) rescaled by the current N. Any
+    // index partition is bit-identical — this re-split changes balance,
+    // never bits.
     const bool Weighted = PushFractions.size() == std::size_t(Blocks) + 1;
     auto BlockRange = [&](Index S) {
       if (!Weighted)
@@ -1049,16 +983,9 @@ private:
       const exec::SlabRange R = BlockRange(S);
       if (R.empty())
         continue; // a weighted block may own no particles
-      auto *Buf = static_cast<FieldSample<Real> *>(Sharded->shardArena(
-          int(S), sizeof(FieldSample<Real>) * std::size_t(R.size())));
-
-      const exec::ExecEvent Sampled = exec::submitCachedLaunch(
-          Exec, Ctx, PrecalcKernelTiming, R.size(), /*GrainHint=*/0,
-          PrecalcBody{View, Interp, OldPos, Buf, R.Begin, &StepParams}, {},
-          StageCache, /*ShardAffinity=*/int(S));
+      Body.Offset = R.Begin;
       PushEvents.push_back(exec::submitCachedLaunch(
-          Exec, Ctx, PushKernelTiming, R.size(), /*GrainHint=*/0,
-          SamplePushBody{View, Buf, TypesPtr, R.Begin, Dt, C}, {Sampled},
+          Exec, Ctx, PushKernelTiming, R.size(), /*GrainHint=*/0, Body, {},
           StageCache, /*ShardAffinity=*/int(S)));
     }
     for (const exec::ExecEvent &Ev : PushEvents)
@@ -1082,10 +1009,12 @@ private:
 
   /// Checks a just-loaded checkpoint against this run: every particle
   /// type indexes the type table (the push reads it unchecked), every
-  /// position and momentum component is finite (the deposit's periodic
-  /// wrap never terminates on one that is not), and the window block
-  /// lies in range (GridWindow's ring addressing assumes it). \returns a
-  /// one-line reason, or an empty string when the state is valid.
+  /// position and momentum component is finite, every position lies
+  /// within one cell of the restored window box (every step leaves
+  /// particles inside it; a far-out one is corrupt state), and the
+  /// window block lies in range (GridWindow's ring addressing assumes
+  /// it). \returns a one-line reason, or an empty string when the state
+  /// is valid.
   std::string restoredStateError(const CheckpointWindow &Win) const {
     const Index Nx = Grid.size().Nx;
     if (Win.PhysBase < 0 || Win.PhysBase >= Nx)
@@ -1093,6 +1022,12 @@ private:
              " outside [0, " + std::to_string(Nx) + ")";
     if (Win.OriginPlanes < 0 || Win.ShiftCount < 0)
       return "negative window OriginPlanes or ShiftCount";
+    const Vector3<Real> D = Grid.step();
+    Vector3<Real> Lo = Grid.baseOrigin();
+    if (Win.OriginPlanes != 0) // GridWindow's live-origin arithmetic
+      Lo.X += Real(Win.OriginPlanes) * D.X;
+    const Vector3<Real> Hi = Lo + Grid.extent() + D;
+    Lo = Lo - D;
     auto View = Particles.view();
     for (Index I = 0, E = View.size(); I < E; ++I) {
       const ParticleT<Real> P = View[I].load();
@@ -1105,6 +1040,11 @@ private:
         if (!std::isfinite(V))
           return "particle " + std::to_string(I) +
                  " has a non-finite position or momentum";
+      const Vector3<Real> X = P.Position;
+      if (X.X < Lo.X || X.Y < Lo.Y || X.Z < Lo.Z || X.X > Hi.X ||
+          X.Y > Hi.Y || X.Z > Hi.Z)
+        return "particle " + std::to_string(I) +
+               " lies more than one cell outside the window box";
     }
     return {};
   }
@@ -1147,8 +1087,7 @@ private:
   RunStats PushTiming;
   RunStats DepositTiming;
   RunStats FieldTiming;
-  RunStats PrecalcKernelTiming; ///< sharded precalc kernels only
-  RunStats PushKernelTiming;    ///< sharded push kernels only
+  RunStats PushKernelTiming;    ///< per-shard stage-1 launches only
   RunStats DepositLaunchStats;  ///< deposit-chain launch ledger
   RunStats FieldLaunchStats;    ///< field-chain launch ledger
   RunStats GraphTiming;         ///< graph-mode step wall (capture+replay)

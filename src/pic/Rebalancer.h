@@ -28,9 +28,9 @@
 ///    boundaries: every J node keeps exactly one owner and the reduce
 ///    order is fixed — the PR 2 determinism argument is
 ///    boundary-independent);
-///  - the sharded push re-splits its particle-index blocks
-///    (bit-preserving for ANY index partition: the push is
-///    per-particle-independent);
+///  - the sharded stage 1 re-splits the particle-index ranges of its
+///    per-shard launches (bit-preserving for ANY index partition: the
+///    push is per-particle-independent);
 ///  - the ensemble is re-sorted to restore slab locality — the ONE
 ///    bit-visible effect. picStateHash is particle-order-sensitive, so
 ///    a rebalanced run's hash differs from a non-rebalanced run's by a
@@ -72,7 +72,7 @@ struct RebalanceStats {
 ///
 /// The owner (PicSimulation) translates a fired check into the actual
 /// re-split: sortByCell for locality, planeBoundaries() for the deposit
-/// tiles, particleFractions() for the sharded push blocks, plus a
+/// tiles, particleFractions() for the per-shard stage-1 ranges, plus a
 /// partition-epoch bump so a captured step graph recaptures.
 template <typename Real> class Rebalancer {
 public:

@@ -85,17 +85,19 @@ public:
   }
 
 private:
-  /// Periodic wrap for stencil indices, which are always within
+  /// Periodic wrap for stencil indices. They are normally within
   /// [-1, N+1]: the CIC/Esirkepov bases come from floor() of in-box
   /// node-relative positions (old positions are wrapped every step), so
-  /// a couple of conditional adds replace the %-based
-  /// ScalarLattice::wrap on this hot path. The loops run at most twice.
+  /// on this hot path one unsigned compare passes in-box indices, one
+  /// add or subtract wraps the edge nodes, and only an index farther
+  /// out (a corrupt, far-displaced particle) pays the %-based
+  /// ScalarLattice::wrap. O(1) for every input.
   static Index wrapNear(Index I, Index N) {
-    while (I < 0)
-      I += N;
-    while (I >= N)
-      I -= N;
-    return I;
+    if (std::size_t(I) < std::size_t(N))
+      return I;
+    const Index Near = I < 0 ? I + N : I - N;
+    return std::size_t(Near) < std::size_t(N) ? Near
+                                              : ScalarLattice<Real>::wrap(I, N);
   }
 
   Real *slot(Real *Base, Index I, Index J, Index K) const {

@@ -7,20 +7,20 @@
 /// \file
 /// The serving layer's shared execution substrate: ONE persistent
 /// ShardedBackend (exec/ShardedBackend.h — pinned workers, per-lane
-/// FIFO queues, first-touched arenas) whose lanes are carved into
-/// fixed-size contiguous **slots** and leased to jobs:
+/// FIFO queues) whose lanes are carved into fixed-size contiguous
+/// **slots** and leased to jobs:
 ///
 ///   * **BackendPool** — owns the sharded backend and the slot
 ///     free-list. acquire(N) blocks until N whole slots are free and
 ///     hands them over atomically (all-or-nothing, so two scheduler
 ///     workers can never deadlock holding partial batches); release()
 ///     returns a slot and wakes waiters.
-///   * **PoolClientBackend** — an ExecutionBackend + ShardResources a
-///     job's PicSimulation runs on. It forwards every submission
-///     through ShardedBackend::submitSlice confined to its leased lane
-///     range — affinities resolve inside the slice, no-affinity
-///     launches partition across the slice only, and empty launches
-///     ride the slice's first lane — so concurrent jobs share the
+///   * **PoolClientBackend** — the ExecutionBackend a job's
+///     PicSimulation runs on. It forwards every submission through
+///     ShardedBackend::submitSlice confined to its leased lane range —
+///     affinities resolve inside the slice, no-affinity launches
+///     partition across the slice only, and empty launches ride the
+///     slice's first lane — so concurrent jobs share the
 ///     pool's warm workers while their kernels, ordering chains and
 ///     latency stay isolated per lane set. Per-job RunStats isolation
 ///     is structural: every stats object the client touches belongs to
@@ -29,7 +29,7 @@
 ///     BackendPool construction. PicSimulation creates its stage
 ///     backends by registry name; a BindGuard on the constructing
 ///     thread routes createBackend("pool") to fresh clients over the
-///     bound lease, so the whole PIC stack (sharded stage-1 arenas,
+///     bound lease, so the whole PIC stack (per-shard stage-1 launches,
 ///     tiled deposit chains, step-graph capture/replay) runs on leased
 ///     lanes without a single PicSimulation change. Outside a bind the
 ///     factory returns nullptr (the name is visible but unusable, like
@@ -93,8 +93,8 @@ public:
   /// The underlying sharded backend (pool-wide shard stats, drain).
   exec::ShardedBackend &backend() { return *Pool; }
 
-  /// Blocks until every launch on every lane completed and releases
-  /// retired arena buffers. Call only while no job is active.
+  /// Blocks until every launch on every lane completed. Call only while
+  /// no job is active.
   void drain() { Pool->drain(); }
 
   /// Routes createBackend("pool") on this thread to clients over
@@ -127,11 +127,10 @@ private:
   std::vector<bool> SlotBusy; ///< guarded by Mutex
 };
 
-/// A job's view of its leased lane slice, as a full ExecutionBackend +
-/// ShardResources — PicSimulation's sharded code paths (stage-1 arena
-/// routing, per-shard stats windows, tile resolution) work unchanged.
-class PoolClientBackend final : public exec::ExecutionBackend,
-                                public exec::ShardResources {
+/// A job's view of its leased lane slice, as a full ExecutionBackend —
+/// PicSimulation's sharded code paths (per-shard stage-1 routing,
+/// per-shard stats windows, tile resolution) work unchanged.
+class PoolClientBackend final : public exec::ExecutionBackend {
 public:
   PoolClientBackend(BackendPool &Owner, const LaneLease &Lease)
       : Owner(Owner), Lease(Lease) {}
@@ -140,13 +139,6 @@ public:
   bool isAsynchronous() const override { return true; }
   int concurrency() const override { return Lease.Lanes; }
   int shardCount() const override { return Lease.Lanes; }
-
-  /// Arena of slice lane \p Shard — the pool lane's persistent arena,
-  /// so a slot reused across jobs hands the next job warm pages.
-  void *shardArena(int Shard, std::size_t Bytes) override {
-    return Owner.backend().shardArena(Lease.Base + Shard % Lease.Lanes,
-                                      Bytes);
-  }
 
   /// The slice's lanes only (a tenant never sees neighbours' counters).
   std::vector<exec::ShardStat> shardStats() const override {

@@ -413,6 +413,16 @@ TEST(CheckpointTest, RestoreRejectsNonFinitePositionOrMomentum) {
                                "non-finite position or momentum");
 }
 
+TEST(CheckpointTest, RestoreRejectsPositionFarOutsideWindow) {
+  // Finite but 1e12 cells (dx = 0.5) off the box along x, and two cells
+  // below it along z; the record's scalars start with X, Y, Z.
+  expectPatchedRestoreRejected("ckpt_far_position.ckpt", SecondParticleOffset,
+                               1e12 * 0.5, "outside the window box");
+  expectPatchedRestoreRejected("ckpt_below_box.ckpt",
+                               SecondParticleOffset + 2 * sizeof(double),
+                               -1.0, "outside the window box");
+}
+
 TEST(CheckpointTest, RestoreRejectsWindowOutOfRange) {
   // Block order: OriginPlanes, PhysBase, ShiftCount.
   expectPatchedRestoreRejected("ckpt_bad_physbase.ckpt", WindowOffset + 8,

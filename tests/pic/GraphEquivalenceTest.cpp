@@ -188,17 +188,20 @@ TEST(GraphEquivalenceTest, ReplayLedgerStaysAtCaptureCounts) {
 /// Launch-ledger parity: a classic step submits the very DAG a capture
 /// step records, so one classic step's Launches/SpecsBuilt delta must
 /// equal the capture step's delta of an otherwise identical graph run —
-/// on every stage-1 shape (fused, asynchronous, sharded).
+/// on every stage-1 shape (fused, asynchronous, sharded). And stage 1 on
+/// a sharded push backend is exactly one launch per shard.
 TEST(GraphEquivalenceTest, ClassicStepLedgerMatchesCaptureStep) {
-  // The submitOverhead() delta of step \p StepToMeasure.
+  // The submitOverhead() delta of step \p StepToMeasure, with every
+  // stage on \p Backend, or only the push stage when \p PushOnly.
   auto StepLedger = [](const std::string &Backend, int Threads,
-                       bool UseGraph, int StepToMeasure) {
+                       bool UseGraph, int StepToMeasure,
+                       bool PushOnly = false) {
     const GridSize N{8, 4, 4};
     PicOptions<double> Options;
     Options.LightVelocity = 1.0;
     Options.PushBackend = Backend;
-    Options.DepositBackend = Backend;
-    Options.FieldBackend = Backend;
+    Options.DepositBackend = PushOnly ? "serial" : Backend;
+    Options.FieldBackend = PushOnly ? "serial" : Backend;
     Options.PushThreads = Threads;
     Options.DepositThreads = Threads;
     Options.FieldThreads = Threads;
@@ -229,6 +232,14 @@ TEST(GraphEquivalenceTest, ClassicStepLedgerMatchesCaptureStep) {
     EXPECT_GT(Capture.first, 0) << Backend;
     EXPECT_EQ(Classic.first, Capture.first) << Backend << " launches";
     EXPECT_EQ(Classic.second, Capture.second) << Backend << " specs built";
+  }
+  // Push = sharded x K against all-serial, other stages alike: K - 1
+  // extra launches.
+  const long long Serial = StepLedger("serial", 1, false, 2).first;
+  for (int Shards : {1, 3, 4}) {
+    const long long Sharded =
+        StepLedger("sharded", Shards, false, 2, /*PushOnly=*/true).first;
+    EXPECT_EQ(Sharded - Serial, Shards - 1) << "shards=" << Shards;
   }
 }
 

@@ -7,9 +7,9 @@
 /// \file
 /// The sharded backend's end-to-end determinism guarantee, gated in CI
 /// as the `pic_shard_equivalence` ctest target: a PIC simulation whose
-/// stages run on persistent shards — affinity-routed per-shard push
-/// launches with first-touched arenas, per-shard deposit
-/// accumulate→reduce chains, shard-partitioned field tiles — is
+/// stages run on persistent shards — affinity-routed per-shard
+/// interpolate+push launches, per-shard deposit accumulate→reduce
+/// chains, shard-partitioned field tiles — is
 /// *bit-identical* to the all-serial loop for every shard count x
 /// stage combination x particle layout x Maxwell solver. On top of the
 /// 100-step state hashes sit bitwise memcmp checks of the two kernels
