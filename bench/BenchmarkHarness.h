@@ -24,18 +24,13 @@
 /// backends. Sizes are CI-friendly by default and overridable:
 ///   HICHI_BENCH_PARTICLES (default 60000), HICHI_BENCH_STEPS (default
 ///   30), HICHI_BENCH_ITERATIONS (default 3). Benches that support it
-///   write their records to the file named by HICHI_BENCH_JSON, and
-///   the PIC benches run in step-graph replay mode when
-///   HICHI_BENCH_GRAPH is nonzero (envGraphMode/applyEnvPicBackends).
+///   write their records to the file named by HICHI_BENCH_JSON.
 ///
-/// Backend resolution from the environment is uniform across benches
-/// (the ROADMAP gap that benches honored HICHI_BENCH_BACKEND only
-/// partially): single-backend benches take their push backend from
-/// HICHI_BENCH_BACKEND (envPushBackendName), PIC-stage benches take the
-/// deposit backend from HICHI_BENCH_DEPOSIT_BACKEND falling back to the
-/// push variable (envDepositBackendName), and sweep benches restrict
-/// their backend sweep to HICHI_BENCH_BACKEND when it is set
-/// (envBackendSelected).
+/// Backend resolution from the environment is uniform across benches:
+/// single-backend benches take their push backend from
+/// HICHI_BENCH_BACKEND (envPushBackendName), and sweep benches — the PIC
+/// bench bench_pic among them — restrict their backend sweep to
+/// HICHI_BENCH_BACKEND when it is set (envBackendSelected).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -109,26 +104,6 @@ inline std::string envPushBackendName(const char *Fallback = "serial") {
   return getEnvTrimmed("HICHI_BENCH_BACKEND").value_or(Fallback);
 }
 
-/// The deposit-stage backend named by HICHI_BENCH_DEPOSIT_BACKEND,
-/// falling back to HICHI_BENCH_BACKEND, then \p Fallback — so setting
-/// the one push variable configures both PIC stages unless the deposit
-/// stage is overridden explicitly.
-inline std::string envDepositBackendName(const char *Fallback = "serial") {
-  if (auto V = getEnvTrimmed("HICHI_BENCH_DEPOSIT_BACKEND"))
-    return *V;
-  return envPushBackendName(Fallback);
-}
-
-/// The field-solve backend named by HICHI_BENCH_FIELD_BACKEND, falling
-/// back to HICHI_BENCH_BACKEND, then \p Fallback — same pattern as the
-/// deposit variable: one push variable configures every PIC stage unless
-/// a stage is overridden explicitly.
-inline std::string envFieldBackendName(const char *Fallback = "serial") {
-  if (auto V = getEnvTrimmed("HICHI_BENCH_FIELD_BACKEND"))
-    return *V;
-  return envPushBackendName(Fallback);
-}
-
 /// True if a sweep bench should include \p Backend: HICHI_BENCH_BACKEND
 /// unset (full sweep) or naming exactly \p Backend (restricted run).
 inline bool envBackendSelected(const std::string &Backend) {
@@ -136,59 +111,12 @@ inline bool envBackendSelected(const std::string &Backend) {
   return !V || *V == Backend;
 }
 
-/// The shard count named by HICHI_BENCH_SHARDS (restricts
-/// bench_pic_sharded's shard-count sweep to one point), or nullopt for
-/// the full sweep.
-inline std::optional<int> envShardCount() {
-  if (auto V = getEnvInt("HICHI_BENCH_SHARDS"))
-    return int(*V);
-  return std::nullopt;
-}
-
-/// Step-graph capture/replay requested via HICHI_BENCH_GRAPH (any
-/// nonzero value). Resolved here once so every PIC bench honors the
-/// knob identically; benches with a CLI flag apply it after this
-/// (CLI > environment > default).
-inline bool envGraphMode() {
-  return getEnvInt("HICHI_BENCH_GRAPH").value_or(0) != 0;
-}
-
-/// Rebalanced configurations requested via HICHI_BENCH_REBALANCE
-/// (default on; 0 disables). Lets the CI smoke set drop the rebalanced
-/// half of bench_pic_rebalance on constrained runners while the hash
-/// gates on the static half keep running.
-inline bool envRebalanceMode() {
-  return getEnvInt("HICHI_BENCH_REBALANCE").value_or(1) != 0;
-}
-
 /// Autotuned knob defaults requested via HICHI_BENCH_TUNE (any nonzero
-/// value): applyEnvPicBackends lets the autotuner plan fill every stage
-/// knob no environment variable pinned, and benches embed the plan's
-/// one-line report in their JSON records (JsonReport::setTune).
+/// value): benches embed the autotuner plan's one-line report in their
+/// JSON records (JsonReport::setTune), and bench_pic's async family lets
+/// the plan fill the stage knobs its rows leave at their defaults.
 inline bool envTuneMode() {
   return getEnvInt("HICHI_BENCH_TUNE").value_or(0) != 0;
-}
-
-/// Prefills the per-stage exec knobs of \p Options (a pic::PicOptions,
-/// taken as a template so the exec-layer benches need no pic include)
-/// from the environment in one place: the three stage backends from
-/// their HICHI_BENCH_*_BACKEND variables (deposit/field fall back to
-/// the push variable, then to \p Fallback) and step-graph replay from
-/// HICHI_BENCH_GRAPH. Callers overwrite whatever their sweep or CLI
-/// controls *after* this call — assignment order is the precedence
-/// rule (CLI flag > environment > default).
-template <typename PicOptionsT>
-void applyEnvPicBackends(PicOptionsT &Options,
-                         const char *Fallback = "serial") {
-  Options.PushBackend = envPushBackendName(Fallback);
-  Options.DepositBackend = envDepositBackendName(Fallback);
-  Options.FieldBackend = envFieldBackendName(Fallback);
-  Options.UseStepGraph = envGraphMode();
-  // HICHI_BENCH_TUNE: the autotuner plan fills whatever the environment
-  // left at its default ("serial" backends, 0 counts) — environment
-  // pins win, the plan fills the rest, same precedence rule as above.
-  if (envTuneMode())
-    exec::applyTunePlan(Options, exec::Autotuner::hostPlan());
 }
 
 /// \returns the backend named \p Name from the registry, or dies with a

@@ -21,35 +21,16 @@ export HICHI_BENCH_ITERATIONS="${HICHI_BENCH_ITERATIONS:-2}"
 # The smoke benches, as one rerunnable unit: the perf trend gate below
 # re-measures through this function to confirm a flagged regression.
 run_smoke_benches() {
-  # bench_pic_deposit / bench_pic_fields also fail by themselves if any
-  # configuration's state hash deviates from the serial reference.
-  # bench_pic_async runs the step-graph resubmit-vs-replay sweep (stage
-  # "submit") and fails unless replay is bit-identical and strictly
-  # cheaper to issue at the smallest grid.
+  # bench_pic fails by itself if any of its six gate families breaks
+  # (deposit, fields, sharded, rebalance, window, async) and names the
+  # failing families: every row must land on its family's serial state
+  # hash; the sharded rows run resubmitted and graph-replayed; the window
+  # rows must retire what they inject and touch exactly 9 x Ny x Nz
+  # lattice elements per shifted plane; step-graph replay must be
+  # strictly cheaper to issue than resubmission at the smallest grid.
   HICHI_BENCH_JSON=results/BENCH_scheduling.json \
     ./build/bench_ablation_scheduling
-  HICHI_BENCH_JSON=results/BENCH_pic_deposit.json ./build/bench_pic_deposit
-  HICHI_BENCH_JSON=results/BENCH_pic_async.json ./build/bench_pic_async
-  HICHI_BENCH_JSON=results/BENCH_pic_fields.json ./build/bench_pic_fields
-  # bench_pic_sharded fails by itself on any shard-count hash deviation
-  # and records the shard-scaling trend baseline (stage "step") — once
-  # resubmitting and once in step-graph replay mode (submit "graph"
-  # keys the records separately in the trend gate).
-  HICHI_BENCH_JSON=results/BENCH_pic_sharded.json ./build/bench_pic_sharded
-  HICHI_BENCH_GRAPH=1 HICHI_BENCH_JSON=results/BENCH_pic_sharded_graph.json \
-    ./build/bench_pic_sharded
-  # bench_pic_rebalance fails by itself if any configuration (serial /
-  # sharded, static / rebalanced) deviates from one state hash on the
-  # drifting-slab skew scenario; records stages "step" and "rebalance".
-  # HICHI_BENCH_REBALANCE=0 would drop the rebalanced rows.
-  HICHI_BENCH_JSON=results/BENCH_pic_rebalance.json \
-    ./build/bench_pic_rebalance
-  # bench_pic_window fails by itself if any configuration deviates from
-  # the serial state hash on the moving-window scenario, if retire !=
-  # inject, or if a shift ever touches more than 9 x Ny x Nz lattice
-  # elements per shifted plane (the O(shifted planes) ring guarantee);
-  # records stage "window-shift".
-  HICHI_BENCH_JSON=results/BENCH_pic_window.json ./build/bench_pic_window
+  HICHI_BENCH_JSON=results/BENCH_pic.json ./build/bench_pic
   # bench_serve fails by itself if any served job's final hash deviates
   # from a standalone serial run of the same spec; records throughput
   # (stage "serve") and per-job latency (stage "latency") per config.
@@ -330,5 +311,25 @@ if command -v python3 >/dev/null 2>&1 && [ "$TREND_SKIP" != "1" ]; then
     $TREND --update --confirm results/.trend_flagged.json
   fi
 fi
+
+# Sanitizer rows, each in its own build tree with the flags passed
+# through CMAKE_CXX_FLAGS / CMAKE_EXE_LINKER_FLAGS: ASan+UBSan over the
+# full ctest suite (any undefined-behaviour report aborts the test), and
+# TSan over the exec, threading, minisycl and serve test targets.
+ASAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined"
+cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS="$ASAN_FLAGS" -DCMAKE_EXE_LINKER_FLAGS="$ASAN_FLAGS"
+cmake --build build-asan -j"$JOBS"
+ctest --test-dir build-asan --output-on-failure -j"$JOBS"
+echo "asan+ubsan: OK (full test suite)"
+
+TSAN_FLAGS="-fsanitize=thread"
+cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS="$TSAN_FLAGS" -DCMAKE_EXE_LINKER_FLAGS="$TSAN_FLAGS"
+cmake --build build-tsan -j"$JOBS" --target hichi_exec_tests \
+  hichi_threading_tests hichi_minisycl_tests hichi_serve_tests
+ctest --test-dir build-tsan --output-on-failure -j"$JOBS" \
+  -R '^(exec|threading|minisycl|serve)$'
+echo "tsan: OK (exec, threading, minisycl, serve)"
 
 echo "ci/run.sh: all green"

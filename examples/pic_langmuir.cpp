@@ -28,6 +28,7 @@
 
 #include "pic/Diagnostics.h"
 #include "pic/PicSimulation.h"
+#include "pic/Scenarios.h"
 #include "support/ArgParse.h"
 
 #include <cstdio>
@@ -123,15 +124,14 @@ int main(int Argc, char **Argv) {
     return 0;
   }
 
-  // Natural units (c = m = |e| = 1); weight chosen so omega_p = 1.
-  const GridSize N{32, 4, 4};
-  const Vector3<double> Step(0.5, 0.5, 0.5);
-  const double BoxLength = double(N.Nx) * Step.X;
-  const double Volume = BoxLength * 2.0 * 2.0;
+  // Natural units (c = m = |e| = 1); weight chosen so omega_p = 1. The
+  // seeded ensemble is reused by the autotuner's measured trials below,
+  // which run it on scratch instances before the real run does.
   const int PerCell = 4;
-  const Index NumParticles = N.count() * PerCell;
-  const double Weight =
-      Volume / (4.0 * constants::Pi * double(NumParticles));
+  const ScenarioSetup<double> Langmuir =
+      makeLangmuirScenario<double>({32, 4, 4}, PerCell);
+  const GridSize N = Langmuir.Grid;
+  const Index NumParticles = Index(Langmuir.Particles.size());
 
   PicOptions<double> Options;
   Options.LightVelocity = 1.0;
@@ -176,7 +176,7 @@ int main(int Argc, char **Argv) {
     Options.MovingWindow.Speed = Args.getDouble("window-speed").value_or(1.0);
     Options.MovingWindow.InjectPerCell = PerCell;
     Options.MovingWindow.InjectType = short(PS_Electron);
-    Options.MovingWindow.InjectWeight = Weight;
+    Options.MovingWindow.InjectWeight = Langmuir.Particles.front().Weight;
   }
   const std::string SolverName = Args.getString("solver");
   if (SolverName == "spectral") {
@@ -186,30 +186,6 @@ int main(int Argc, char **Argv) {
                  SolverName.c_str());
     return 1;
   }
-  // The sinusoidally perturbed cold ensemble, seedable into any
-  // simulation instance (the autotuner's measured trials below run it on
-  // scratch instances before the real run does).
-  const double V0 = 0.02;
-  const double K = 2.0 * constants::Pi / BoxLength;
-  auto seedEnsemble = [&](PicSimulation<double> &S) {
-    for (Index C = 0; C < N.count(); ++C) {
-      Index I = C / (N.Ny * N.Nz);
-      Index J = (C / N.Nz) % N.Ny;
-      Index K3 = C % N.Nz;
-      for (int P = 0; P < PerCell; ++P) {
-        ParticleT<double> Particle;
-        Particle.Position = {(double(I) + (P + 0.5) / PerCell) * Step.X,
-                             (double(J) + 0.5) * Step.Y,
-                             (double(K3) + 0.5) * Step.Z};
-        double Vx = V0 * std::sin(K * Particle.Position.X);
-        Particle.Momentum = {Vx / std::sqrt(1 - Vx * Vx), 0, 0};
-        Particle.Weight = Weight;
-        Particle.Type = PS_Electron;
-        S.addParticle(Particle);
-      }
-    }
-  };
-
   // --tune fills every knob whose flag was not given explicitly from the
   // autotuner plan (same precedence rule as --shards: explicit flags
   // win), optionally refined by short measured trial runs. Every tuned
@@ -247,10 +223,10 @@ int main(int Argc, char **Argv) {
           [&](const exec::TunePlan &Candidate) {
             PicOptions<double> TrialOptions = Options;
             applyPlan(TrialOptions, Candidate);
-            PicSimulation<double> Trial(N, {0, 0, 0}, Step, NumParticles,
-                                        ParticleTypeTable<double>::natural(),
+            PicSimulation<double> Trial(N, Langmuir.Origin, Langmuir.Step,
+                                        NumParticles, Langmuir.Types,
                                         TrialOptions);
-            seedEnsemble(Trial);
+            seedScenario(Trial, Langmuir);
             for (int S = 0; S < TrialSteps; ++S)
               Trial.step();
             return Trial.pushStats().HostNs + Trial.depositStats().HostNs +
@@ -278,9 +254,9 @@ int main(int Argc, char **Argv) {
       Options.MovingWindow.Enabled
           ? NumParticles + Index(4) * N.Ny * N.Nz * Index(PerCell)
           : NumParticles;
-  PicSimulation<double> Sim(N, {0, 0, 0}, Step, Capacity,
-                            ParticleTypeTable<double>::natural(), Options);
-  seedEnsemble(Sim);
+  PicSimulation<double> Sim(N, Langmuir.Origin, Langmuir.Step, Capacity,
+                            Langmuir.Types, Options);
+  seedScenario(Sim, Langmuir);
 
   std::printf("Cold Langmuir oscillation: %lld macro-electrons on a "
               "%lldx%lldx%lld grid, omega_p = 1\n\n",

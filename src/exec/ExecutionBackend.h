@@ -117,15 +117,6 @@ struct ExecutionContext {
   const gpusim::KernelProfile *GpuWorkload = nullptr;
 };
 
-/// Owning storage for kernel bodies submitted asynchronously: StepKernel
-/// is non-owning, so a driver that submits a chain of launches and waits
-/// only at the end parks each body here (type-erased, shared) and clears
-/// the container after the final wait. Helpers that build such chains
-/// (TiledCurrentAccumulator::submitDeposit, FdtdSolver::submitStep,
-/// SpectralSolver::submitStep) take one by reference so a whole
-/// deposit→field chain shares a single lifetime scope.
-using KernelKeepAlive = std::vector<std::shared_ptr<const void>>;
-
 /// \returns a stable identity for kernel type \p KernelFn without RTTI:
 /// the address of a function-template-static is unique per instantiation.
 /// Backends hand it to the minisycl JIT-cost model so each distinct
@@ -200,7 +191,7 @@ struct LaunchSpec {
 
 /// Lifetime counters of one shard, for occupancy/imbalance diagnostics
 /// (PicSimulation::shardStats(), pic_langmuir --shards,
-/// bench_pic_sharded).
+/// bench_pic's sharded family).
 struct ShardStat {
   long long Launches = 0; ///< block tasks executed (incl. empty blocks)
   long long Items = 0;    ///< items processed across all launches
@@ -358,38 +349,17 @@ private:
   }
 };
 
-/// Submits \p Block as one single-step launch over \p Items items, with
-/// the body copied to the heap and parked in \p Keep so it outlives an
-/// asynchronous execution (the lifetime contract above). The shared
-/// submission shape of every event-chained tile/elementwise driver
-/// (tiled deposition, FDTD slabs, spectral passes): only Items,
-/// GrainHint and the dependency list vary.
-template <typename BlockFn>
-ExecEvent submitKeptLaunch(ExecutionBackend &Backend,
-                           const ExecutionContext &Ctx, RunStats &Stats,
-                           Index Items, Index GrainHint, BlockFn Block,
-                           const std::vector<ExecEvent> &DependsOn,
-                           KernelKeepAlive &Keep, int ShardAffinity = -1) {
-  auto Body = std::make_shared<BlockFn>(std::move(Block));
-  Keep.push_back(Body);
-  LaunchSpec Spec;
-  Spec.Items = Items;
-  Spec.StepBegin = 0;
-  Spec.StepEnd = 1;
-  Spec.GrainHint = GrainHint;
-  Spec.ShardAffinity = ShardAffinity;
-  Spec.DependsOn = DependsOn;
-  Stats.SpecsBuilt += 1;
-  return Backend.submit(Spec, StepKernel(*Body, kernelIdentity<BlockFn>()),
-                        Ctx, Stats);
-}
-
-/// Reusable owning storage for kernel bodies: the across-steps
-/// replacement for a per-step KernelKeepAlive. A driver that submits the
-/// same kernel sequence every step calls rewind() at the top of the step
-/// and emplace()s each body in submission order; a slot whose previous
-/// occupant has the same closure type is rebuilt *in place* (destroy +
-/// copy-construct into the existing heap allocation), so the steady
+/// Owning storage for kernel bodies submitted asynchronously: StepKernel
+/// is non-owning, so a driver that submits a chain of launches and waits
+/// only at the end parks each body here until that wait. Chain helpers
+/// (TiledCurrentAccumulator::submitDeposit, FdtdSolver::submitStep,
+/// SpectralSolver::submitStep) take one by reference so a whole
+/// deposit→field chain shares a single lifetime scope; one-shot callers
+/// use a local cache. A driver that submits the same kernel sequence
+/// every step calls rewind() at the top of the step and emplace()s each
+/// body in submission order; a slot whose previous occupant has the
+/// same closure type is rebuilt *in place* (destroy + copy-construct
+/// into the existing heap allocation), so the steady
 /// state allocates nothing and kernel storage addresses stay stable —
 /// which is also what lets a captured step graph keep referencing the
 /// bodies across replays. A type mismatch at the cursor (the driver took
@@ -441,9 +411,12 @@ private:
   std::size_t Cursor = 0;
 };
 
-/// submitKeptLaunch with the body parked in a reusable \p Cache instead
-/// of a per-step keep-alive vector — the zero-allocation steady-state
-/// submission shape for drivers that issue the same chain every step.
+/// Submits \p Block as one single-step launch over \p Items items, with
+/// the body parked in \p Cache so it outlives an asynchronous execution
+/// (the lifetime contract above). The shared submission shape of every
+/// event-chained tile/elementwise driver (tiled deposition, FDTD slabs,
+/// spectral passes, the PIC step's own launches): only Items, GrainHint
+/// and the dependency list vary.
 template <typename BlockFn>
 ExecEvent submitCachedLaunch(ExecutionBackend &Backend,
                              const ExecutionContext &Ctx, RunStats &Stats,
@@ -463,36 +436,12 @@ ExecEvent submitCachedLaunch(ExecutionBackend &Backend,
                         Ctx, Stats);
 }
 
-/// submitKeptLaunch over a reusable KernelCache: the overload that lets
-/// chain drivers (deposit, FDTD, spectral) be templated on the
-/// keep-alive storage type — per-step KernelKeepAlive for one-shot call
-/// sites, KernelCache for steady-state steps and graph capture.
-template <typename BlockFn>
-ExecEvent submitKeptLaunch(ExecutionBackend &Backend,
-                           const ExecutionContext &Ctx, RunStats &Stats,
-                           Index Items, Index GrainHint, BlockFn Block,
-                           const std::vector<ExecEvent> &DependsOn,
-                           KernelCache &Cache, int ShardAffinity = -1) {
-  return submitCachedLaunch(Backend, Ctx, Stats, Items, GrainHint,
-                            std::move(Block), DependsOn, Cache,
-                            ShardAffinity);
-}
-
 /// Submits an empty ordering-only launch that depends on every event in
 /// \p DependsOn and \returns its completion event — a join handle that
 /// completes once all listed events have. Drivers that fan a stage out
 /// into per-shard chains use it to hand one event to downstream
 /// consumers (the deposit's per-shard reduce chains hand the field solve
 /// a single JReady this way).
-inline ExecEvent submitJoin(ExecutionBackend &Backend,
-                            const ExecutionContext &Ctx, RunStats &Stats,
-                            const std::vector<ExecEvent> &DependsOn,
-                            KernelKeepAlive &Keep) {
-  return submitKeptLaunch(Backend, Ctx, Stats, /*Items=*/0, /*GrainHint=*/0,
-                          [](Index, Index, int, int) {}, DependsOn, Keep);
-}
-
-/// submitJoin over a reusable KernelCache (see submitCachedLaunch).
 inline ExecEvent submitJoin(ExecutionBackend &Backend,
                             const ExecutionContext &Ctx, RunStats &Stats,
                             const std::vector<ExecEvent> &DependsOn,

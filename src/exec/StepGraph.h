@@ -43,8 +43,8 @@
 /// is *one* compiled-graph issue, not N launches, so
 /// RunStats::Launches/SpecsBuilt stay flat while the residual per-node
 /// re-issue cost still lands in RunStats::SubmitNs — exactly the
-/// launches-per-step and submit-overhead deltas bench_pic_async's
-/// resubmit-vs-replay sweep reports.
+/// launches-per-step and submit-overhead deltas bench_pic's async
+/// family reports (resubmit vs replay).
 ///
 /// Determinism: replay submits the same kernels over the same item
 /// ranges with the same dependency shape on the same backends, in the

@@ -189,14 +189,13 @@ public:
   /// Ey/Ez halo planes, then sweeps its owned planes. \returns the
   /// launch's event; kernel bodies are parked in \p Keep until the
   /// caller's final wait.
-  template <typename KeepT>
   exec::ExecEvent submitAdvanceB(YeeGrid<Real> &Grid, Real Dt,
                                  FdtdSlabPartition<Real> &Partition,
                                  exec::ExecutionBackend &Backend,
                                  const exec::ExecutionContext &Ctx,
                                  RunStats &Stats,
                                  const std::vector<exec::ExecEvent> &DependsOn,
-                                 KeepT &Keep) const {
+                                 exec::KernelCache &Keep) const {
     YeeGrid<Real> *G = &Grid;
     FdtdSlabPartition<Real> *Part = &Partition;
     const Real LightC = C;
@@ -212,14 +211,13 @@ public:
   /// Each tile captures its -x-face By/Bz halo planes, then sweeps. The
   /// only field-solve launch that reads J — its dependency list is where
   /// the deposit reduction's event goes.
-  template <typename KeepT>
   exec::ExecEvent submitAdvanceE(YeeGrid<Real> &Grid, Real Dt,
                                  FdtdSlabPartition<Real> &Partition,
                                  exec::ExecutionBackend &Backend,
                                  const exec::ExecutionContext &Ctx,
                                  RunStats &Stats,
                                  const std::vector<exec::ExecEvent> &DependsOn,
-                                 KeepT &Keep) const {
+                                 exec::KernelCache &Keep) const {
     YeeGrid<Real> *G = &Grid;
     FdtdSlabPartition<Real> *Part = &Partition;
     const Real LightC = C;
@@ -242,13 +240,12 @@ public:
   /// push stage before submitting) leave it empty, while the PIC step
   /// passes its wrap event there — the B advance writes fields the push
   /// stage's interpolation reads, and only that edge orders the two.
-  template <typename KeepT>
   exec::ExecEvent submitStep(YeeGrid<Real> &Grid, Real Dt,
                              FdtdSlabPartition<Real> &Partition,
                              exec::ExecutionBackend &Backend,
                              const exec::ExecutionContext &Ctx,
                              RunStats &Stats, const exec::ExecEvent &JReady,
-                             KeepT &Keep,
+                             exec::KernelCache &Keep,
                              const std::vector<exec::ExecEvent> &After = {}) const {
     const exec::ExecEvent FirstHalf = submitAdvanceB(
         Grid, Dt / Real(2), Partition, Backend, Ctx, Stats, After, Keep);
@@ -264,7 +261,7 @@ public:
   void step(YeeGrid<Real> &Grid, Real Dt, FdtdSlabPartition<Real> &Partition,
             exec::ExecutionBackend &Backend, const exec::ExecutionContext &Ctx,
             RunStats &Stats) const {
-    exec::KernelKeepAlive Keep;
+    exec::KernelCache Keep;
     submitStep(Grid, Dt, Partition, Backend, Ctx, Stats, exec::ExecEvent(),
                Keep)
         .wait();
@@ -349,16 +346,16 @@ private:
 
   /// One launch over \p Items tiles (GrainHint = 1, one time step), with
   /// the body parked in \p Keep for the asynchronous lifetime contract.
-  template <typename BlockFn, typename KeepT>
+  template <typename BlockFn>
   static exec::ExecEvent
   submitOverTiles(exec::ExecutionBackend &Backend,
                   const exec::ExecutionContext &Ctx, RunStats &Stats,
                   Index Items, BlockFn Block,
                   const std::vector<exec::ExecEvent> &DependsOn,
-                  KeepT &Keep) {
-    return exec::submitKeptLaunch(Backend, Ctx, Stats, Items,
-                                  /*GrainHint=*/1, std::move(Block),
-                                  DependsOn, Keep);
+                  exec::KernelCache &Keep) {
+    return exec::submitCachedLaunch(Backend, Ctx, Stats, Items,
+                                    /*GrainHint=*/1, std::move(Block),
+                                    DependsOn, Keep);
   }
 
   Real C;

@@ -1011,10 +1011,11 @@ private:
   /// type indexes the type table (the push reads it unchecked), every
   /// position and momentum component is finite, every position lies
   /// within one cell of the restored window box (every step leaves
-  /// particles inside it; a far-out one is corrupt state), and the
-  /// window block lies in range (GridWindow's ring addressing assumes
-  /// it). \returns a one-line reason, or an empty string when the state
-  /// is valid.
+  /// particles inside it; a far-out one is corrupt state), every value
+  /// of the nine field lattices is finite (a NaN field spreads to every
+  /// particle it touches), and the window block lies in range
+  /// (GridWindow's ring addressing assumes it). \returns a one-line
+  /// reason, or an empty string when the state is valid.
   std::string restoredStateError(const CheckpointWindow &Win) const {
     const Index Nx = Grid.size().Nx;
     if (Win.PhysBase < 0 || Win.PhysBase >= Nx)
@@ -1022,6 +1023,14 @@ private:
              " outside [0, " + std::to_string(Nx) + ")";
     if (Win.OriginPlanes < 0 || Win.ShiftCount < 0)
       return "negative window OriginPlanes or ShiftCount";
+    static const char *const FieldNames[] = {"Ex", "Ey", "Ez", "Bx", "By",
+                                             "Bz", "Jx", "Jy", "Jz"};
+    const std::vector<CheckpointFieldRef<Real>> Fields = fieldRefs();
+    for (std::size_t F = 0; F < Fields.size(); ++F)
+      for (Index I = 0; I < Fields[F].Count; ++I)
+        if (!std::isfinite(Fields[F].Data[I]))
+          return std::string("field ") + FieldNames[F] +
+                 " has a non-finite value at element " + std::to_string(I);
     const Vector3<Real> D = Grid.step();
     Vector3<Real> Lo = Grid.baseOrigin();
     if (Win.OriginPlanes != 0) // GridWindow's live-origin arithmetic

@@ -5,11 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Canned PIC scenarios beyond the uniform Langmuir ensemble — the
+/// Canned PIC scenarios: the uniform Langmuir ensemble, and the
 /// workloads that create the occupancy skew the rebalancer
-/// (pic/Rebalancer.h) exists for, and that carry closed-form physics
-/// the validation suite (tests/pic/ScenarioPhysicsTest.cpp) checks:
+/// (pic/Rebalancer.h) exists for and that carry closed-form physics the
+/// validation suite (tests/pic/ScenarioPhysicsTest.cpp) checks:
 ///
+///  - langmuir: the cold plasma oscillation of examples/pic_langmuir.cpp,
+///    the serving layer's job spec and bench/bench_pic.cpp — uniform
+///    electrons with a standing sinusoidal x-velocity perturbation,
+///    weighted so omega_p = 1.
 ///  - drifting-slab: a charge-neutral electron–positron pair slab
 ///    confined to a fraction of the box, drifting along x. Pairs are
 ///    co-located and array-adjacent, so their current contributions
@@ -100,6 +104,45 @@ void seedScenario(Sim &Simulation, const ScenarioSetup<Real> &S) {
     Simulation.addParticle(P);
   if (S.SeedFields)
     S.SeedFields(Simulation.grid());
+}
+
+/// The cold Langmuir oscillation (see file header): \p PerCell
+/// electrons per cell, spread evenly along x within the cell, with
+/// Vx = \p Amplitude * sin(K x), K = 2 pi / L, and the weight that makes
+/// omega_p = 1 (4 pi n w = 1 over the whole box).
+template <typename Real>
+ScenarioSetup<Real> makeLangmuirScenario(GridSize N = {32, 4, 4},
+                                         int PerCell = 4,
+                                         Real Amplitude = Real(0.02)) {
+  ScenarioSetup<Real> S;
+  S.Name = "langmuir";
+  S.Grid = N;
+  const Real BoxLength = Real(N.Nx) * S.Step.X;
+  const Real Volume =
+      BoxLength * (Real(N.Ny) * S.Step.Y) * (Real(N.Nz) * S.Step.Z);
+  const Index NumParticles = N.count() * PerCell;
+  const Real Weight =
+      Volume / (Real(4) * Real(constants::Pi) * Real(NumParticles));
+  const Real K = Real(2) * Real(constants::Pi) / BoxLength;
+  S.Particles.reserve(std::size_t(NumParticles));
+  for (Index C = 0; C < N.count(); ++C) {
+    const Index I = C / (N.Ny * N.Nz);
+    const Index J = (C / N.Nz) % N.Ny;
+    const Index K3 = C % N.Nz;
+    for (int P = 0; P < PerCell; ++P) {
+      ParticleT<Real> Part;
+      Part.Position = {(Real(I) + Real(P + 0.5) / Real(PerCell)) * S.Step.X,
+                       (Real(J) + Real(0.5)) * S.Step.Y,
+                       (Real(K3) + Real(0.5)) * S.Step.Z};
+      const Real Vx = Amplitude * std::sin(K * Part.Position.X);
+      Part.Momentum = {Vx / std::sqrt(Real(1) - Vx * Vx), Real(0), Real(0)};
+      Part.Weight = Weight;
+      Part.Type = PS_Electron;
+      S.Particles.push_back(Part);
+    }
+  }
+  S.ExpectedOmega = Real(1);
+  return S;
 }
 
 /// The drifting neutral pair slab (see file header): \p PairsPerCell

@@ -104,12 +104,11 @@ public:
   /// (the first launch that reads the grid, J included). \returns the
   /// scatter launch's event; wait it (and only then read \p Stats or
   /// drop \p Keep) before touching the fields.
-  template <typename KeepT>
   exec::ExecEvent submitStep(YeeGrid<Real> &Grid, Real Dt,
                              exec::ExecutionBackend &Backend,
                              const exec::ExecutionContext &Ctx, int Tiles,
                              RunStats &Stats, const exec::ExecEvent &JReady,
-                             KeepT &Keep) {
+                             exec::KernelCache &Keep) {
     prepareBuffers();
     SpectralSolver *Self = this;
     YeeGrid<Real> *G = &Grid;
@@ -120,8 +119,9 @@ public:
         Self->gatherSpectrum(*G, int(S));
     };
     const exec::ExecEvent Gathered =
-        exec::submitKeptLaunch(Backend, Ctx, Stats, NumSpectra, /*GrainHint=*/1,
-                     std::move(GatherBlock), {JReady}, Keep);
+        exec::submitCachedLaunch(Backend, Ctx, Stats, NumSpectra,
+                                 /*GrainHint=*/1, std::move(GatherBlock),
+                                 {JReady}, Keep);
 
     // Forward transforms: per spectrum, the z → y → x passes chain on
     // each other; the nine per-spectrum chains are mutually independent.
@@ -137,8 +137,9 @@ public:
     };
     const Index Modes = Index(Fft.size());
     const exec::ExecEvent Updated =
-        exec::submitKeptLaunch(Backend, Ctx, Stats, Modes, grainFor(Modes, Tiles),
-                     std::move(UpdateBlock), Transformed, Keep);
+        exec::submitCachedLaunch(Backend, Ctx, Stats, Modes,
+                                 grainFor(Modes, Tiles), std::move(UpdateBlock),
+                                 Transformed, Keep);
 
     // Inverse transforms of the six field spectra, then the scatter.
     std::vector<exec::ExecEvent> Restored;
@@ -150,15 +151,15 @@ public:
       for (Index S = Begin; S < End; ++S)
         Self->scatterSpectrum(*G, int(S));
     };
-    return exec::submitKeptLaunch(Backend, Ctx, Stats, NumFieldSpectra,
-                        /*GrainHint=*/1, std::move(ScatterBlock), Restored,
-                        Keep);
+    return exec::submitCachedLaunch(Backend, Ctx, Stats, NumFieldSpectra,
+                                    /*GrainHint=*/1, std::move(ScatterBlock),
+                                    Restored, Keep);
   }
 
   /// Blocking facade over submitStep for synchronous call sites.
   void step(YeeGrid<Real> &Grid, Real Dt, exec::ExecutionBackend &Backend,
             const exec::ExecutionContext &Ctx, int Tiles, RunStats &Stats) {
-    exec::KernelKeepAlive Keep;
+    exec::KernelCache Keep;
     submitStep(Grid, Dt, Backend, Ctx, Tiles, Stats, exec::ExecEvent(), Keep)
         .wait();
   }
@@ -310,12 +311,11 @@ private:
 
   /// Submits the z → y → x pass chain over spectrum \p S; each pass is
   /// one launch whose items are the pass's independent 1-D lines.
-  template <typename KeepT>
   exec::ExecEvent submitPasses(exec::ExecutionBackend &Backend,
                                const exec::ExecutionContext &Ctx,
                                RunStats &Stats, int S, bool Inverse,
                                int Tiles, const exec::ExecEvent &After,
-                               KeepT &Keep) {
+                               exec::KernelCache &Keep) {
     SpectralSolver *Self = this;
     exec::ExecEvent Prev = After;
     for (FftAxis Axis : {FftAxis::Z, FftAxis::Y, FftAxis::X}) {
@@ -327,8 +327,9 @@ private:
           Self->Fft.transformLine(Axis, std::size_t(L), Data, Inverse,
                                   Scratch);
       };
-      Prev = exec::submitKeptLaunch(Backend, Ctx, Stats, Lines, grainFor(Lines, Tiles),
-                          std::move(PassBlock), {Prev}, Keep);
+      Prev = exec::submitCachedLaunch(Backend, Ctx, Stats, Lines,
+                                      grainFor(Lines, Tiles),
+                                      std::move(PassBlock), {Prev}, Keep);
     }
     return Prev;
   }

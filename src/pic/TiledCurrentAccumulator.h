@@ -211,7 +211,7 @@ public:
                const ParticleTypeInfo<Real> *Types, Real Dt,
                bool ChargeConserving, exec::ExecutionBackend &Backend,
                const exec::ExecutionContext &Ctx, RunStats &Stats) {
-    exec::KernelKeepAlive Keep;
+    exec::KernelCache Keep;
     submitDeposit(Grid, View, OldPos, NewPos, Types, Dt, ChargeConserving,
                   Backend, Ctx, Stats, Keep)
         .wait();
@@ -226,19 +226,19 @@ public:
   /// the reduction). \p After gates the first phase that reads particle
   /// endpoints or writes the grid (the PIC step passes its wrap and
   /// J-clear events; host-ordered callers leave it empty). Kernel bodies
-  /// are parked in \p Keep (a per-step KernelKeepAlive or a reusable
-  /// KernelCache); wait the returned event (and only then read \p Stats
-  /// or drop \p Keep) before touching the J lattices. On
-  /// synchronous backends everything executes inline and the returned
-  /// event is already complete.
-  template <typename ParticleView, typename KeepT>
+  /// are parked in \p Keep (a local or a reusable KernelCache); wait the
+  /// returned event (and only then read \p Stats or drop \p Keep) before
+  /// touching the J lattices. On synchronous backends everything executes
+  /// inline and the returned event is already complete.
+  template <typename ParticleView>
   exec::ExecEvent
   submitDeposit(YeeGrid<Real> &Grid, const ParticleView &View,
                 const Vector3<Real> *OldPos, const Vector3<Real> *NewPos,
                 const ParticleTypeInfo<Real> *Types, Real Dt,
                 bool ChargeConserving, exec::ExecutionBackend &Backend,
                 const exec::ExecutionContext &Ctx, RunStats &Stats,
-                KeepT &Keep, const std::vector<exec::ExecEvent> &After = {}) {
+                exec::KernelCache &Keep,
+                const std::vector<exec::ExecEvent> &After = {}) {
     const Index N = View.size();
     // Re-read the (possibly window-shifted) origin: binning and the
     // scatter kernels work in logical coordinates relative to the live
@@ -352,11 +352,11 @@ public:
         auto ReduceGroup = [=](Index Begin, Index End, int S0, int S1) {
           Reduce(Tile0 + Begin, Tile0 + End, S0, S1);
         };
-        const exec::ExecEvent Accumulated = exec::submitKeptLaunch(
+        const exec::ExecEvent Accumulated = exec::submitCachedLaunch(
             Backend, Ctx, Stats, R.size(), /*GrainHint=*/1,
             std::move(AccumulateGroup), AccDeps, Keep,
             /*ShardAffinity=*/int(G));
-        Reduced.push_back(exec::submitKeptLaunch(
+        Reduced.push_back(exec::submitCachedLaunch(
             Backend, Ctx, Stats, R.size(), /*GrainHint=*/1,
             std::move(ReduceGroup), {Accumulated}, Keep,
             /*ShardAffinity=*/int(G)));
@@ -433,18 +433,18 @@ private:
 
   /// One non-blocking backend launch over \p Items tiles, one
   /// schedulable chunk per tile (GrainHint = 1); the body is parked in
-  /// \p Keep (per-step KernelKeepAlive or reusable KernelCache) until
-  /// the chain's final wait (the asynchronous lifetime contract).
-  template <typename BlockFn, typename KeepT>
+  /// \p Keep until the chain's final wait (the asynchronous lifetime
+  /// contract).
+  template <typename BlockFn>
   static exec::ExecEvent
   submitOverTiles(exec::ExecutionBackend &Backend,
                   const exec::ExecutionContext &Ctx, RunStats &Stats,
                   Index Items, BlockFn Block,
                   const std::vector<exec::ExecEvent> &DependsOn,
-                  KeepT &Keep) {
-    return exec::submitKeptLaunch(Backend, Ctx, Stats, Items,
-                                  /*GrainHint=*/1, std::move(Block),
-                                  DependsOn, Keep);
+                  exec::KernelCache &Keep) {
+    return exec::submitCachedLaunch(Backend, Ctx, Stats, Items,
+                                    /*GrainHint=*/1, std::move(Block),
+                                    DependsOn, Keep);
   }
 
   GridSize Size;

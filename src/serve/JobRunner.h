@@ -6,9 +6,9 @@
 ///
 /// \file
 /// Materializes a JobSpec into a running PicSimulation: the
-/// parameterized cold Langmuir setup (the same initialization
-/// examples/pic_langmuir.cpp performs, with grid/density/amplitude from
-/// the spec), on any registered backend triple. Two entry points:
+/// parameterized cold Langmuir setup (pic::makeLangmuirScenario, the
+/// same seed examples/pic_langmuir.cpp runs, with grid/density/amplitude
+/// from the spec), on any registered backend triple. Two entry points:
 ///
 ///   * makeSimulation(Spec, Backend, Threads) — the scheduler calls
 ///     this under a BackendPool::BindGuard with Backend = "pool", so
@@ -26,9 +26,9 @@
 
 #include "pic/Diagnostics.h"
 #include "pic/PicSimulation.h"
+#include "pic/Scenarios.h"
 #include "serve/JobSpec.h"
 
-#include <cmath>
 #include <memory>
 #include <string>
 
@@ -46,14 +46,11 @@ using Simulation = pic::PicSimulation<double>;
 inline std::unique_ptr<Simulation> makeSimulation(const JobSpec &Spec,
                                                   const std::string &Backend,
                                                   int Threads = 0) {
-  const GridSize N{Index(Spec.Nx), Index(Spec.Ny), Index(Spec.Nz)};
-  const Vector3<double> Step(0.5, 0.5, 0.5);
-  const double BoxLength = double(N.Nx) * Step.X;
-  const double Volume = BoxLength * (double(N.Ny) * Step.Y) *
-                        (double(N.Nz) * Step.Z);
-  const Index NumParticles = N.count() * Spec.PerCell;
-  const double Weight =
-      Volume / (4.0 * constants::Pi * double(NumParticles));
+  // The cold Langmuir seed (pic/Scenarios.h): uniform electrons,
+  // sinusoidal velocity perturbation along x, omega_p = 1.
+  const pic::ScenarioSetup<double> Langmuir = pic::makeLangmuirScenario<double>(
+      {Index(Spec.Nx), Index(Spec.Ny), Index(Spec.Nz)}, Spec.PerCell,
+      Spec.Amplitude);
 
   pic::PicOptions<double> Options;
   Options.LightVelocity = 1.0;
@@ -69,29 +66,9 @@ inline std::unique_ptr<Simulation> makeSimulation(const JobSpec &Spec,
                                              : pic::FieldSolverKind::Fdtd;
 
   auto Sim = std::make_unique<Simulation>(
-      N, Vector3<double>(0, 0, 0), Step, NumParticles,
-      ParticleTypeTable<double>::natural(), Options);
-
-  // The cold Langmuir seed: uniform electrons, sinusoidal velocity
-  // perturbation along x (omega_p = 1 by the weight choice above).
-  const double V0 = Spec.Amplitude;
-  const double K = 2.0 * constants::Pi / BoxLength;
-  for (Index C = 0; C < N.count(); ++C) {
-    const Index I = C / (N.Ny * N.Nz);
-    const Index J = (C / N.Nz) % N.Ny;
-    const Index K3 = C % N.Nz;
-    for (int P = 0; P < Spec.PerCell; ++P) {
-      ParticleT<double> Particle;
-      Particle.Position = {(double(I) + (P + 0.5) / Spec.PerCell) * Step.X,
-                           (double(J) + 0.5) * Step.Y,
-                           (double(K3) + 0.5) * Step.Z};
-      const double Vx = V0 * std::sin(K * Particle.Position.X);
-      Particle.Momentum = {Vx / std::sqrt(1 - Vx * Vx), 0, 0};
-      Particle.Weight = Weight;
-      Particle.Type = PS_Electron;
-      Sim->addParticle(Particle);
-    }
-  }
+      Langmuir.Grid, Langmuir.Origin, Langmuir.Step,
+      Index(Langmuir.Particles.size()), Langmuir.Types, Options);
+  pic::seedScenario(*Sim, Langmuir);
   return Sim;
 }
 

@@ -361,13 +361,18 @@ std::unique_ptr<pic::PicSimulation<double>> makeSmallSimulation() {
 }
 
 /// Byte offsets into a v3 double-precision checkpoint: the window block
-/// follows the two headers, and particle records (8 scalars + int16
-/// type) follow the window block.
+/// follows the two headers, particle records (8 scalars + int16 type)
+/// follow the window block, and the nine field lattices (an int64
+/// count, then the scalars, in Ex..Bz, Jx..Jz order) follow the 16
+/// records of makeSmallSimulation.
 constexpr long WindowOffset = long(sizeof(checkpoint_detail::Header) +
                                    sizeof(checkpoint_detail::StateHeader));
-constexpr long SecondParticleOffset =
-    WindowOffset + long(sizeof(checkpoint_detail::WindowBlock)) +
+constexpr long ParticleRecordBytes =
     long(8 * sizeof(double) + sizeof(std::int16_t));
+constexpr long FirstParticleOffset =
+    WindowOffset + long(sizeof(checkpoint_detail::WindowBlock));
+constexpr long SecondParticleOffset = FirstParticleOffset + ParticleRecordBytes;
+constexpr long FieldsOffset = FirstParticleOffset + 16 * ParticleRecordBytes;
 
 /// Saves a small run, overwrites the bytes at \p Offset with \p Value,
 /// and expects restoreState() to refuse the file with a one-line reason
@@ -411,6 +416,28 @@ TEST(CheckpointTest, RestoreRejectsNonFinitePositionOrMomentum) {
                                SecondParticleOffset + 4 * sizeof(double),
                                std::numeric_limits<double>::infinity(),
                                "non-finite position or momentum");
+}
+
+/// Byte offset of element \p Element of field lattice \p Field (0 = Ex,
+/// ..., 8 = Jz) in a makeSmallSimulation checkpoint.
+long fieldElementOffset(int Field, long Element) {
+  const long Lattice = long(makeSmallSimulation()->grid().Ex.raw().size());
+  const long FieldBytes =
+      long(sizeof(std::int64_t)) + Lattice * long(sizeof(double));
+  return FieldsOffset + long(Field) * FieldBytes +
+         long(sizeof(std::int64_t)) + Element * long(sizeof(double));
+}
+
+TEST(CheckpointTest, RestoreRejectsNanElectricField) {
+  expectPatchedRestoreRejected("ckpt_nan_ey.ckpt", fieldElementOffset(1, 5),
+                               std::numeric_limits<double>::quiet_NaN(),
+                               "field Ey has a non-finite value");
+}
+
+TEST(CheckpointTest, RestoreRejectsNanMagneticField) {
+  expectPatchedRestoreRejected("ckpt_nan_bz.ckpt", fieldElementOffset(5, 127),
+                               std::numeric_limits<double>::quiet_NaN(),
+                               "field Bz has a non-finite value");
 }
 
 TEST(CheckpointTest, RestoreRejectsPositionFarOutsideWindow) {

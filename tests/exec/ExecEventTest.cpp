@@ -230,6 +230,29 @@ TEST(ExecEventTest, SynchronousBackendsWaitTheirDependencies) {
   EXPECT_EQ(Seen, 42);
 }
 
+TEST(ExecEventTest, InlineKernelTimeIsNotBookedAsSubmitOverhead) {
+  // Synchronous backends run the kernel inside submit(); the ledger must
+  // subtract it, so a 20 ms kernel leaves only the enqueue in SubmitNs.
+  minisycl::queue Q{minisycl::cpu_device()};
+  ExecutionContext Ctx;
+  Ctx.Queue = &Q;
+  auto Sleep = [](Index, Index, int, int) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  };
+  StepKernel Kernel(Sleep, kernelIdentity<decltype(Sleep)>());
+  LaunchSpec Spec;
+  Spec.Items = 1;
+  Spec.StepEnd = 1;
+  for (const char *Name : {"serial", "openmp", "dpcpp", "dpcpp-numa"}) {
+    auto Backend = createBackend(Name);
+    ASSERT_NE(Backend, nullptr) << Name;
+    RunStats Stats;
+    Backend->submit(Spec, Kernel, Ctx, Stats).wait();
+    EXPECT_GE(Stats.HostNs, 20e6) << Name;
+    EXPECT_LT(Stats.SubmitNs, 5e6) << Name;
+  }
+}
+
 TEST(ExecEventTest, AsyncPipelineAdvertisesItsShape) {
   auto Backend = createBackend("async-pipeline", {/*Threads=*/3});
   ASSERT_NE(Backend, nullptr);

@@ -202,7 +202,7 @@ TEST(ShardedBackendTest, DependenciesOrderAcrossShards) {
 
   // An empty ordering-only launch (the submitJoin shape) still orders
   // after its dependencies and completes.
-  KernelKeepAlive Keep;
+  KernelCache Keep;
   RunStats JoinStats;
   const ExecEvent Join =
       submitJoin(Backend, {}, JoinStats, {FirstEv, SecondEv}, Keep);
