@@ -13,8 +13,9 @@
 /// ("step", "rebalance", "window-shift") or the submitOverhead()
 /// SubmitNs delta ("submit").
 ///
-///  - deposit: the tiled Esirkepov scatter per backend x worker count
-///    against the serial particle-order scatter (push on "openmp").
+///  - deposit: the tiled Esirkepov scatter per backend (every registered
+///    one but "serial" and "auto") x worker count against the serial
+///    particle-order scatter (push on "openmp").
 ///  - fields: the FDTD and the spectral solve per backend x worker
 ///    count, one serial reference per solver (push and deposit serial).
 ///  - sharded: the whole step with every stage on K persistent shards,
@@ -228,11 +229,12 @@ std::vector<int> threadPoints() {
 }
 
 /// Registered backends a stage sweep visits: all but the serial
-/// reference, restricted by HICHI_BENCH_BACKEND.
+/// reference and "auto" (whose factory returns one of the others),
+/// restricted by HICHI_BENCH_BACKEND.
 std::vector<std::string> sweepBackends() {
   std::vector<std::string> Names;
   for (const std::string &Name : exec::BackendRegistry::instance().names())
-    if (Name != "serial" && envBackendSelected(Name))
+    if (Name != "serial" && Name != "auto" && envBackendSelected(Name))
       Names.push_back(Name);
   return Names;
 }

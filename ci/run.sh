@@ -129,7 +129,18 @@ if [ "$(echo "$PIC_HASHES" | sort -u | wc -l)" != "1" ]; then
   echo "FAIL: PIC state hashes differ across backends/tiles" >&2
   exit 1
 fi
-echo "PIC equivalence: OK (all state hashes identical, async push included)"
+# Agreement alone misses a bit change that hits every backend the same
+# way, so the rows must also land on the committed golden hash of the
+# plain `pic_langmuir --steps 40` run (Release build, x86-64, no -march).
+# A change that alters the step's bits on purpose updates these values.
+PIC_GOLDEN_FDTD=cacf6b055fd335c3
+PIC_GOLDEN_SPECTRAL=ceff471393802e23
+if [ "$(echo "$PIC_HASHES" | sort -u)" != "$PIC_GOLDEN_FDTD" ]; then
+  echo "FAIL: PIC state hash $(echo "$PIC_HASHES" | sort -u | head -1)" \
+       "differs from the golden $PIC_GOLDEN_FDTD" >&2
+  exit 1
+fi
+echo "PIC equivalence: OK (all state hashes identical and golden)"
 
 # The Maxwell field solve must agree bitwise across field backends and
 # tile counts too — for both solvers (FDTD's x-slab halo tiles and the
@@ -162,6 +173,13 @@ for SOLVER in fdtd spectral; do
   if [ "$(echo "$FIELD_HASHES" | sort -u | wc -l)" != "1" ]; then
     echo "FAIL: $SOLVER field-solve state hashes differ across" \
          "backends/tiles" >&2
+    exit 1
+  fi
+  GOLDEN="$PIC_GOLDEN_FDTD"
+  [ "$SOLVER" = spectral ] && GOLDEN="$PIC_GOLDEN_SPECTRAL"
+  if [ "$(echo "$FIELD_HASHES" | sort -u)" != "$GOLDEN" ]; then
+    echo "FAIL: $SOLVER field-solve state hash differs from the golden" \
+         "$GOLDEN" >&2
     exit 1
   fi
 done

@@ -92,8 +92,8 @@ int main(int Argc, char **Argv) {
                  "run continues from the saved step index and must land on "
                  "the same final state hash as an uninterrupted run",
                  "");
-  Args.addFlag("graph", "capture the five-stage step's launch DAG on the "
-                        "first step and replay it on every later one "
+  Args.addFlag("graph", "capture the step's launch DAG on the first "
+                        "step and replay it on every later one "
                         "(bit-identical; see exec/StepGraph.h)");
   Args.addFlag("tune",
                "pick backend/thread/tile knobs from the host's measured "

@@ -69,7 +69,7 @@ struct StagePlan {
   bool MemoryBound = false;
 };
 
-/// A complete knob assignment for the five-stage PIC step.
+/// A complete knob assignment for the PIC step.
 struct TunePlan {
   StagePlan Push, Deposit, Field;
 

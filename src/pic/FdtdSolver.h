@@ -238,8 +238,9 @@ public:
   /// \p Stats or drop \p Keep) before touching the fields. \p After
   /// gates the first half-step: host-ordered callers (who waited the
   /// push stage before submitting) leave it empty, while the PIC step
-  /// passes its wrap event there — the B advance writes fields the push
-  /// stage's interpolation reads, and only that edge orders the two.
+  /// passes its push-stage events there — the B advance writes fields
+  /// the push stage's interpolation reads, and only that edge orders the
+  /// two.
   exec::ExecEvent submitStep(YeeGrid<Real> &Grid, Real Dt,
                              FdtdSlabPartition<Real> &Partition,
                              exec::ExecutionBackend &Backend,

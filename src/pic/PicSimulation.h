@@ -6,24 +6,22 @@
 ///
 /// \file
 /// The self-consistent Particle-in-Cell loop (paper Section 2): per step,
+/// interpolate grid fields to particles (form factor), push particles
+/// (Boris method — the paper's kernel), deposit particle currents to the
+/// grid (Esirkepov, charge-conserving), and advance Maxwell's equations
+/// (FDTD on the Yee grid, or the spectral solver), with periodic
+/// boundaries for particles and fields.
 ///
-///   1. interpolate grid fields to particles (form factor),
-///   2. push particles (Boris method — the paper's kernel),
-///   3. deposit particle currents to the grid (Esirkepov,
-///      charge-conserving),
-///   4. advance Maxwell's equations (FDTD on the Yee grid, or the
-///      spectral solver),
+/// Stage 1 interpolates, pushes and wraps each particle back into the
+/// box as one independent-particle kernel, stage 2 deposits as a tiled
+/// read-modify-write kernel, and stage 3 solves Maxwell's equations as
+/// x-slab halo-exchange tiles (FDTD) or k-space line/row launches
+/// (spectral) — each stage on its own configurable execution backend
+/// (PicOptions::PushBackend / DepositBackend / FieldBackend) — see
+/// docs/ARCHITECTURE.md for the full stage-to-backend map. This is the
+/// substrate the standalone pusher benchmarks carve their kernel out of.
 ///
-/// with periodic boundaries for particles and fields. Stages 1+2 run as
-/// one independent-particle kernel, stage 3 as a tiled read-modify-write
-/// kernel, and stage 4 as x-slab halo-exchange tiles (FDTD) or k-space
-/// line/row launches (spectral) — each stage on its own configurable
-/// execution backend (PicOptions::PushBackend / DepositBackend /
-/// FieldBackend) — see docs/ARCHITECTURE.md for the full
-/// stage-to-backend map. This is the substrate the standalone pusher
-/// benchmarks carve their kernel out of.
-///
-/// Stages 3 and 4 are submitted as one event chain: the deposit's
+/// Stages 2 and 3 are submitted as one event chain: the deposit's
 /// accumulate → reduce launches, then the field solve's launches with
 /// the reduction's event as the dependency of the first launch that
 /// reads J (the FDTD E advance / the spectral gather). On asynchronous
@@ -32,10 +30,10 @@
 /// per-node operation order, and hence the state hash, bit-identical to
 /// the all-serial loop.
 ///
-/// The whole step is one launch DAG — J clear, stage 1, wrap, deposit,
-/// field solve — built by one function. A classic step submits it
-/// through the stage backends; a graph step captures it once and replays
-/// it thereafter (PicOptions::UseStepGraph). See the five-stage table in
+/// The whole step is one launch DAG — J clear, stage 1, deposit, field
+/// solve — built by one function. A classic step submits it through the
+/// stage backends; a graph step captures it once and replays it
+/// thereafter (PicOptions::UseStepGraph). See the stage table in
 /// docs/ARCHITECTURE.md.
 ///
 //===----------------------------------------------------------------------===//
@@ -62,6 +60,7 @@
 #include "support/Timer.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <functional>
 #include <memory>
@@ -160,7 +159,7 @@ template <typename Real> struct PicOptions {
   /// 0 = auto (1 for the serial backend, else two per worker).
   int FieldTiles = 0;
 
-  /// Capture the five-stage step's launch DAG on the first step and
+  /// Capture the step's launch DAG on the first step and
   /// *replay* it on every later one (exec/StepGraph.h): specs, kernel
   /// bodies and dependency edges are resolved once, and each replayed
   /// step only rebinds the step index and simulation time through the
@@ -296,7 +295,7 @@ public:
   }
 
   /// Advances the simulation by one step. The classic step submits the
-  /// five-stage launch DAG (submitStep) through the stage backends. With
+  /// step's launch DAG (submitStep) through the stage backends. With
   /// PicOptions::UseStepGraph the first step submits the same DAG through
   /// graph-capturing wrappers, and every later step replays the captured
   /// DAG with only the step index and simulation time rebound (both
@@ -376,16 +375,16 @@ public:
   }
 
 private:
-  /// Submits the five-stage step as one launch DAG through \p Push,
+  /// Submits the whole step as one launch DAG through \p Push,
   /// \p Deposit and \p Field — the stage backends on a classic step, or
   /// their graph-capturing wrappers on a capture step — and waits for it.
   /// The explicit edges carry every ordering the stages need, so the
   /// same DAG replays with no host code between its launches:
   ///
-  ///   clear J ──────────────────────┐
-  ///   stage 1 ──→ wrap ──────────→ bin ──→ accumulate ──→ reduce
-  ///                 │                                       │ JReady
-  ///                 └─────────────→ field solve ←───────────┘
+  ///   clear J ─────────┐
+  ///   stage 1 ──────→ bin ──→ accumulate ──→ reduce
+  ///     │                                      │ JReady
+  ///     └─────────→ field solve ←──────────────┘
   void submitStep(exec::ExecutionBackend &Push,
                   exec::ExecutionBackend &Deposit,
                   exec::ExecutionBackend &Field) {
@@ -412,13 +411,13 @@ private:
         Deposit, Ctx, DepositLaunchStats, 1, /*GrainHint=*/0,
         ClearCurrentBody{&Grid}, {}, StageCache);
 
-    // Stage 1 — interpolate + push (particles are independent here, so
-    // any backend is bit-identical). Old positions are kept aside because
-    // the deposition needs both ends of the same move. One step per
-    // launch: the deposition couples particles, so multi-step fusion is
-    // not legal for the PIC loop.
-    const FusedPushBody Body{View, Interp, OldPos, TypesPtr, Dt, C,
-                             &StepParams, /*Offset=*/0};
+    // Stage 1 — interpolate, push and wrap (particles are independent
+    // here, so any backend is bit-identical). Both unwrapped ends of the
+    // move are kept aside: the deposition needs the physical
+    // displacement. One step per launch: the deposition couples
+    // particles, so multi-step fusion is not legal for the PIC loop.
+    const FusedPushBody Body{View, Interp, OldPos, NewPos, &Grid,
+                             TypesPtr, Dt, C, &StepParams, /*Offset=*/0};
     std::vector<exec::ExecEvent> PushDone;
     if (Push.shardCount() > 0 && N > 0)
       PushDone = shardedInterpPush(Push, Body, N, Ctx);
@@ -426,27 +425,23 @@ private:
       PushDone.push_back(exec::submitCachedLaunch(
           Push, Ctx, PushTiming, N, /*GrainHint=*/0, Body, {}, StageCache));
 
-    // Stage 2 — wrap positions back into the box, keeping the unwrapped
-    // endpoints aside: the deposition needs the physical displacement.
-    const exec::ExecEvent Wrapped = exec::submitCachedLaunch(
-        Push, Ctx, PushTiming, N, /*GrainHint=*/0,
-        WrapBody{View, NewPos, &Grid}, PushDone, StageCache);
-
-    // Stages 3 + 4 — one event chain. Stage 3: current deposition, a
-    // binning launch gated on {Wrapped, Cleared}, then per-tile private
-    // accumulation plus fixed-order reduction, bit-identical to the
-    // serial particle-order scatter (TiledCurrentAccumulator.h). Stage 4:
+    // Stages 2 + 3 — one event chain. Stage 2: current deposition, a
+    // binning launch gated on stage 1 and the J clear, then per-tile
+    // private accumulation plus fixed-order reduction, bit-identical to the
+    // serial particle-order scatter (TiledCurrentAccumulator.h). Stage 3:
     // the Maxwell solve, chained on the reduction's event at the first
     // launch that reads J, so on an asynchronous field backend the
     // reduction's tail overlaps the first FDTD half-step. That half-step
-    // also waits the wrap, because advanceB writes the B lattice stage 1
+    // also waits stage 1, because advanceB writes the B lattice stage 1
     // reads (the spectral gather is ordered through JReady already).
     exec::ExecEvent JReady;
     {
       Stopwatch Watch;
+      std::vector<exec::ExecEvent> BinAfter = PushDone;
+      BinAfter.push_back(Cleared);
       JReady = Accumulator->submitDeposit(
           Grid, View, OldPos, NewPos, TypesPtr, Dt, Options.ChargeConserving,
-          Deposit, Ctx, DepositLaunchStats, ChainCache, {Wrapped, Cleared});
+          Deposit, Ctx, DepositLaunchStats, ChainCache, BinAfter);
       if (!Field.isAsynchronous())
         JReady.wait(); // keep the serial stage-wall attribution exact
       addWall(DepositTiming, Watch);
@@ -461,7 +456,7 @@ private:
                                           JReady, ChainCache)
                    : Solver.submitStep(Grid, Dt, *FieldPartition, Field, Ctx,
                                        FieldLaunchStats, JReady, ChainCache,
-                                       {Wrapped});
+                                       PushDone);
       FieldsDone.wait();
       JReady.wait(); // retire the deposit launches' stats publication too
       addWall(FieldTiming, Watch);
@@ -654,9 +649,12 @@ public:
     Win.OriginPlanes = std::int64_t(Grid.window().OriginPlanes);
     Win.PhysBase = std::int64_t(Grid.window().PhysBase);
     Win.ShiftCount = std::int64_t(Grid.window().ShiftCount);
+    std::vector<CheckpointFieldRef<Real>> Fields;
+    for (const ScalarLattice<Real> *L : latticesOf(Grid))
+      Fields.push_back({L->raw().data(), Index(L->raw().size())});
     return saveSimulationCheckpoint(Particles, std::int64_t(Steps),
-                                    double(CurrentTime), Win, fieldRefs(),
-                                    Path, Error);
+                                    double(CurrentTime), Win, Fields, Path,
+                                    Error);
   }
 
   /// Restores a saveState() checkpoint: particles, fields, step index
@@ -666,32 +664,40 @@ public:
   /// the restored step index, so the resumed run fires them on the same
   /// steps the uninterrupted run would. \returns false with a one-line
   /// reason in \p Error on I/O damage or on a restored state this run
-  /// cannot step (see restoredStateError); a rejected state leaves the
-  /// ensemble empty, so step() never reads it.
+  /// cannot step (see restoredStateError). The file loads into a staging
+  /// ensemble and staging lattices that replace the run's own only once
+  /// they pass, so a refused restore leaves the run exactly as it was.
   bool restoreState(const std::string &Path, std::string *Error = nullptr) {
     std::int64_t StepIndex = 0;
     double Time = 0;
     CheckpointWindow Win;
+    const auto Live = latticesOf(Grid);
+    Array Staged(Particles.capacity());
+    std::vector<std::vector<Real>> StagedLattices(Live.size());
     std::vector<CheckpointFieldMut<Real>> Fields;
-    Fields.reserve(9);
-    for (ScalarLattice<Real> *L :
-         {&Grid.Ex, &Grid.Ey, &Grid.Ez, &Grid.Bx, &Grid.By, &Grid.Bz,
-          &Grid.Jx, &Grid.Jy, &Grid.Jz})
-      Fields.push_back({L->raw().data(), Index(L->raw().size())});
-    if (!loadSimulationCheckpoint(Particles, StepIndex, Time, Win, Fields,
-                                  Path, Error))
+    for (std::size_t F = 0; F < Live.size(); ++F) {
+      StagedLattices[F].resize(Live[F]->raw().size());
+      Fields.push_back(
+          {StagedLattices[F].data(), Index(StagedLattices[F].size())});
+    }
+    if (!loadSimulationCheckpoint(Staged, StepIndex, Time, Win, Fields, Path,
+                                  Error))
       return false;
+    if (const std::string Reason = restoredStateError(Staged, Fields, Win);
+        !Reason.empty()) {
+      if (Error)
+        *Error = Path + ": " + Reason;
+      return false;
+    }
+    Particles = std::move(Staged);
+    for (std::size_t F = 0; F < Live.size(); ++F)
+      std::copy(StagedLattices[F].begin(), StagedLattices[F].end(),
+                Live[F]->raw().begin());
     // The captured DAG baked in the pre-restore item counts and block
     // ranges; drop it so the next step() recaptures against the
     // restored ensemble.
     Graph.reset();
     GraphN = Index(-1);
-    if (const std::string Reason = restoredStateError(Win); !Reason.empty()) {
-      if (Error)
-        *Error = Path + ": " + Reason;
-      Particles.clear();
-      return false;
-    }
     Steps = int(StepIndex);
     CurrentTime = Real(Time);
     // Re-base the window onto the restored raw lattices (a v2 file's
@@ -754,8 +760,8 @@ public:
   /// k-space chunks per launch for the spectral solver).
   int fieldTileCount() const { return FieldTileCount; }
 
-  /// Accumulated timing of the push stage (stage 1 and the wrap) across
-  /// all steps so far.
+  /// Accumulated timing of stage 1 (interpolate + push + wrap) across all
+  /// steps so far.
   const RunStats &pushStats() const { return PushTiming; }
 
   /// Accumulated wall time of the deposit stage (binning + accumulate +
@@ -881,16 +887,20 @@ public:
 private:
   using ViewT = decltype(std::declval<Array &>().view());
 
-  /// The interpolate+push kernel of stage 1, the one body every backend
-  /// runs — a named body (not a step()-local lambda) so it can live in
-  /// the reusable kernel cache across steps and a captured graph can
+  /// The interpolate+push+wrap kernel of stage 1, the one body every
+  /// backend runs — a named body (not a step()-local lambda) so it can
+  /// live in the reusable kernel cache across steps and a captured graph can
   /// keep pointing at it; the per-step simulation time flows in through
   /// the ParamBlock. Launch item I is particle Offset + I: 0 for the
-  /// whole-ensemble launch, the block start for a per-shard one.
+  /// whole-ensemble launch, the block start for a per-shard one. The wrap
+  /// is a second loop: its libm fmod calls in the push loop cost GCC the
+  /// push's SLP vectorization (~6% of the serial stage, langmuir-dense).
   struct FusedPushBody {
     ViewT View;
     YeeInterpolator<Real> Interp;
     Vector3<Real> *OldPos;
+    Vector3<Real> *NewPos;
+    const YeeGrid<Real> *Grid;
     const ParticleTypeInfo<Real> *Types;
     Real Dt, C;
     const exec::ParamBlock *Params; ///< Scalars[0] = simulation time
@@ -898,30 +908,18 @@ private:
 
     void operator()(Index Begin, Index End, int, int) const {
       const Real Time = Real(Params->Scalars[0]);
-      for (Index I = Offset + Begin, E = Offset + End; I < E; ++I) {
+      const Index First = Offset + Begin, Last = Offset + End;
+      for (Index I = First; I < Last; ++I) {
         auto P = View[I];
         const Vector3<Real> Pos = P.position();
         OldPos[I] = Pos;
         const FieldSample<Real> F = Interp(Pos, Time, I);
         BorisPusher::push<Real>(P, F, Types, Dt, C);
       }
-    }
-  };
-
-  /// Stage 2 (position wrap): writes each particle's unwrapped endpoint
-  /// and wraps it into the box. Per-particle independent, so any
-  /// partition is bit-identical.
-  struct WrapBody {
-    ViewT View;
-    Vector3<Real> *NewPos;
-    YeeGrid<Real> *Grid;
-
-    void operator()(Index Begin, Index End, int, int) const {
-      for (Index I = Begin; I < End; ++I) {
+      for (Index I = First; I < Last; ++I) {
         auto P = View[I];
-        const Vector3<Real> Pos = P.position();
-        NewPos[I] = Pos;
-        P.setPosition(Grid->wrapPosition(Pos));
+        NewPos[I] = P.position();
+        P.setPosition(Grid->wrapPosition(NewPos[I]));
       }
     }
   };
@@ -952,7 +950,8 @@ private:
   /// count (tests/pic/ShardEquivalenceTest.cpp). Submissions go through
   /// \p Exec so a graph-capturing wrapper can record them.
   /// \returns the per-shard launches' events (already waited; they still
-  /// gate the wrap launch, so a captured graph keeps the edges).
+  /// gate the bin and the first field half-step, so a captured graph
+  /// keeps the edges).
   std::vector<exec::ExecEvent>
   shardedInterpPush(exec::ExecutionBackend &Exec, FusedPushBody Body,
                     Index N, const exec::ExecutionContext &Ctx) {
@@ -995,19 +994,15 @@ private:
     return PushEvents;
   }
 
-  /// The nine field lattices in checkpoint order (Ex..Bz, Jx..Jz) —
-  /// saveState and restoreState must agree on this order.
-  std::vector<CheckpointFieldRef<Real>> fieldRefs() const {
-    std::vector<CheckpointFieldRef<Real>> Fields;
-    Fields.reserve(9);
-    for (const ScalarLattice<Real> *L :
-         {&Grid.Ex, &Grid.Ey, &Grid.Ez, &Grid.Bx, &Grid.By, &Grid.Bz,
-          &Grid.Jx, &Grid.Jy, &Grid.Jz})
-      Fields.push_back({L->raw().data(), Index(L->raw().size())});
-    return Fields;
+  /// The nine field lattices of \p G in checkpoint order (Ex..Bz,
+  /// Jx..Jz) — saveState and restoreState must agree on this order.
+  template <typename GridT> static auto latticesOf(GridT &G) {
+    return std::array{&G.Ex, &G.Ey, &G.Ez, &G.Bx, &G.By,
+                      &G.Bz, &G.Jx, &G.Jy, &G.Jz};
   }
 
-  /// Checks a just-loaded checkpoint against this run: every particle
+  /// Checks a just-loaded checkpoint (particles \p Loaded, the nine
+  /// lattices \p Fields, window \p Win) against this run: every particle
   /// type indexes the type table (the push reads it unchecked), every
   /// position and momentum component is finite, every position lies
   /// within one cell of the restored window box (every step leaves
@@ -1016,7 +1011,10 @@ private:
   /// particle it touches), and the window block lies in range
   /// (GridWindow's ring addressing assumes it). \returns a one-line
   /// reason, or an empty string when the state is valid.
-  std::string restoredStateError(const CheckpointWindow &Win) const {
+  std::string
+  restoredStateError(const Array &Loaded,
+                     const std::vector<CheckpointFieldMut<Real>> &Fields,
+                     const CheckpointWindow &Win) const {
     const Index Nx = Grid.size().Nx;
     if (Win.PhysBase < 0 || Win.PhysBase >= Nx)
       return "window PhysBase " + std::to_string(Win.PhysBase) +
@@ -1025,7 +1023,6 @@ private:
       return "negative window OriginPlanes or ShiftCount";
     static const char *const FieldNames[] = {"Ex", "Ey", "Ez", "Bx", "By",
                                              "Bz", "Jx", "Jy", "Jz"};
-    const std::vector<CheckpointFieldRef<Real>> Fields = fieldRefs();
     for (std::size_t F = 0; F < Fields.size(); ++F)
       for (Index I = 0; I < Fields[F].Count; ++I)
         if (!std::isfinite(Fields[F].Data[I]))
@@ -1037,7 +1034,7 @@ private:
       Lo.X += Real(Win.OriginPlanes) * D.X;
     const Vector3<Real> Hi = Lo + Grid.extent() + D;
     Lo = Lo - D;
-    auto View = Particles.view();
+    auto View = Loaded.view();
     for (Index I = 0, E = View.size(); I < E; ++I) {
       const ParticleT<Real> P = View[I].load();
       if (P.Type < 0 || P.Type >= Types.count())
@@ -1102,7 +1099,7 @@ private:
   RunStats GraphTiming;         ///< graph-mode step wall (capture+replay)
   exec::ParamBlock StepParams; ///< per-step rebinding surface
   Stopwatch AsyncStepWatch;    ///< submitStepAsync -> finishStepAsync wall
-  exec::KernelCache StageCache; ///< clear, stage-1 and wrap bodies
+  exec::KernelCache StageCache; ///< J-clear and stage-1 bodies
   exec::KernelCache ChainCache; ///< deposit + field chain bodies
   std::unique_ptr<exec::StepGraph> Graph;
   Index GraphN = Index(-1); ///< ensemble size the graph was captured at

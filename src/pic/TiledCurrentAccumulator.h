@@ -224,8 +224,8 @@ public:
   /// handle the backend-parallel field solve chains its E advance on
   /// (only that launch reads J, so the first FDTD half-step may overlap
   /// the reduction). \p After gates the first phase that reads particle
-  /// endpoints or writes the grid (the PIC step passes its wrap and
-  /// J-clear events; host-ordered callers leave it empty). Kernel bodies
+  /// endpoints or writes the grid (the PIC step passes its push-stage
+  /// and J-clear events; host-ordered callers leave it empty). Kernel bodies
   /// are parked in \p Keep (a local or a reusable KernelCache); wait the
   /// returned event (and only then read \p Stats or drop \p Keep) before
   /// touching the J lattices. On synchronous backends everything executes

@@ -15,6 +15,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Checkpoint.h"
+#include "pic/Diagnostics.h"
 #include "pic/PicSimulation.h"
 
 #include "gtest/gtest.h"
@@ -374,14 +375,10 @@ constexpr long FirstParticleOffset =
 constexpr long SecondParticleOffset = FirstParticleOffset + ParticleRecordBytes;
 constexpr long FieldsOffset = FirstParticleOffset + 16 * ParticleRecordBytes;
 
-/// Saves a small run, overwrites the bytes at \p Offset with \p Value,
-/// and expects restoreState() to refuse the file with a one-line reason
-/// containing \p Expected. The refused run must still step (its
-/// ensemble is emptied, so nothing reads the corrupt records).
+/// Saves a small run to \p Path and overwrites the bytes at \p Offset
+/// with \p Value.
 template <typename T>
-void expectPatchedRestoreRejected(const char *Name, long Offset, T Value,
-                                  const char *Expected) {
-  const std::string Path = tempPath(Name);
+void savePatchedCheckpoint(const std::string &Path, long Offset, T Value) {
   std::string Error;
   ASSERT_TRUE(makeSmallSimulation()->saveState(Path, &Error)) << Error;
   std::FILE *File = std::fopen(Path.c_str(), "r+b");
@@ -389,12 +386,29 @@ void expectPatchedRestoreRejected(const char *Name, long Offset, T Value,
   ASSERT_EQ(std::fseek(File, Offset, SEEK_SET), 0);
   ASSERT_EQ(std::fwrite(&Value, sizeof(T), 1, File), std::size_t(1));
   std::fclose(File);
+}
+
+std::uint64_t hashOf(const pic::PicSimulation<double> &Sim) {
+  return pic::picStateHash(Sim.particles(), Sim.grid());
+}
+
+/// Saves a small run, overwrites the bytes at \p Offset with \p Value,
+/// and expects restoreState() to refuse the file with a one-line reason
+/// containing \p Expected. The refused run must keep its own state and
+/// still step.
+template <typename T>
+void expectPatchedRestoreRejected(const char *Name, long Offset, T Value,
+                                  const char *Expected) {
+  const std::string Path = tempPath(Name);
+  savePatchedCheckpoint(Path, Offset, Value);
 
   auto Sim = makeSmallSimulation();
+  const std::uint64_t Before = hashOf(*Sim);
+  std::string Error;
   EXPECT_FALSE(Sim->restoreState(Path, &Error));
   EXPECT_NE(Error.find(Expected), std::string::npos) << Error;
   EXPECT_EQ(Error.find('\n'), std::string::npos) << Error;
-  EXPECT_EQ(Sim->particles().size(), 0);
+  EXPECT_EQ(hashOf(*Sim), Before);
   Sim->run(2);
   std::remove(Path.c_str());
 }
@@ -432,6 +446,36 @@ TEST(CheckpointTest, RestoreRejectsNanElectricField) {
   expectPatchedRestoreRejected("ckpt_nan_ey.ckpt", fieldElementOffset(1, 5),
                                std::numeric_limits<double>::quiet_NaN(),
                                "field Ey has a non-finite value");
+}
+
+/// A refused restore must change nothing: the run that tried it keeps
+/// its particles, fields, step index and time, and steps on exactly
+/// like a run that never tried.
+TEST(CheckpointTest, RefusedRestoreLeavesStateUnchanged) {
+  const std::string Path = tempPath("ckpt_refused_unchanged.ckpt");
+  savePatchedCheckpoint(Path, fieldElementOffset(1, 5),
+                        std::numeric_limits<double>::quiet_NaN());
+
+  auto Sim = makeSmallSimulation();
+  Sim->run(2); // the live state now differs from the file's
+  const std::uint64_t Hash = hashOf(*Sim);
+  const double Energy = Sim->fieldEnergy();
+  const Index Count = Sim->particles().size();
+  std::string Error;
+  EXPECT_FALSE(Sim->restoreState(Path, &Error));
+  EXPECT_NE(Error.find("field Ey has a non-finite value"), std::string::npos)
+      << Error;
+  EXPECT_EQ(hashOf(*Sim), Hash);
+  EXPECT_EQ(Sim->fieldEnergy(), Energy);
+  EXPECT_EQ(Sim->particles().size(), Count);
+  EXPECT_EQ(Sim->stepCount(), 5);
+
+  auto Untouched = makeSmallSimulation();
+  Untouched->run(2);
+  Sim->run(3);
+  Untouched->run(3);
+  EXPECT_EQ(hashOf(*Sim), hashOf(*Untouched));
+  std::remove(Path.c_str());
 }
 
 TEST(CheckpointTest, RestoreRejectsNanMagneticField) {

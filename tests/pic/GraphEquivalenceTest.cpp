@@ -7,7 +7,7 @@
 /// \file
 /// The step-graph determinism guarantee, gated in CI as the
 /// `pic_graph_equivalence` ctest target: a PIC simulation that captures
-/// its five-stage launch DAG on the first step and *replays* it on
+/// its whole-step launch DAG on the first step and *replays* it on
 /// every later one (PicOptions::UseStepGraph, exec/StepGraph.h) is
 /// *bit-identical* over 100 steps to the same simulation resubmitting
 /// every launch — for every registered backend x Maxwell solver x
@@ -191,8 +191,13 @@ TEST(GraphEquivalenceTest, ReplayLedgerStaysAtCaptureCounts) {
 /// on every stage-1 shape (fused, asynchronous, sharded). And stage 1 on
 /// a sharded push backend is exactly one launch per shard.
 TEST(GraphEquivalenceTest, ClassicStepLedgerMatchesCaptureStep) {
-  // The submitOverhead() delta of step \p StepToMeasure, with every
-  // stage on \p Backend, or only the push stage when \p PushOnly.
+  // The submitOverhead() and pushStats() launch deltas of step
+  // \p StepToMeasure, with every stage on \p Backend, or only the push
+  // stage when \p PushOnly, plus the captured graph's node count.
+  struct Ledger {
+    long long Launches = 0, SpecsBuilt = 0, PushLaunches = 0;
+    std::size_t Nodes = 0;
+  };
   auto StepLedger = [](const std::string &Backend, int Threads,
                        bool UseGraph, int StepToMeasure,
                        bool PushOnly = false) {
@@ -218,27 +223,41 @@ TEST(GraphEquivalenceTest, ClassicStepLedgerMatchesCaptureStep) {
     }
     Sim.run(StepToMeasure);
     const RunStats Before = Sim.submitOverhead();
+    const long long PushBefore = Sim.pushStats().Launches;
     Sim.step();
     const RunStats After = Sim.submitOverhead();
-    return std::make_pair(After.Launches - Before.Launches,
-                          After.SpecsBuilt - Before.SpecsBuilt);
+    Ledger L;
+    L.Launches = After.Launches - Before.Launches;
+    L.SpecsBuilt = After.SpecsBuilt - Before.SpecsBuilt;
+    L.PushLaunches = Sim.pushStats().Launches - PushBefore;
+    L.Nodes = Sim.stepGraph() ? Sim.stepGraph()->nodeCount() : 0;
+    return L;
   };
   const std::pair<const char *, int> Configs[] = {
       {"serial", 1}, {"openmp", 2}, {"dpcpp", 2}, {"async-pipeline", 2},
       {"sharded", 3}};
   for (const auto &[Backend, Threads] : Configs) {
-    const auto Capture = StepLedger(Backend, Threads, /*UseGraph=*/true, 0);
-    const auto Classic = StepLedger(Backend, Threads, /*UseGraph=*/false, 2);
-    EXPECT_GT(Capture.first, 0) << Backend;
-    EXPECT_EQ(Classic.first, Capture.first) << Backend << " launches";
-    EXPECT_EQ(Classic.second, Capture.second) << Backend << " specs built";
+    const Ledger Capture = StepLedger(Backend, Threads, /*UseGraph=*/true, 0);
+    const Ledger Classic = StepLedger(Backend, Threads, /*UseGraph=*/false, 2);
+    EXPECT_GT(Capture.Launches, 0) << Backend;
+    EXPECT_EQ(Classic.Launches, Capture.Launches) << Backend << " launches";
+    EXPECT_EQ(Classic.SpecsBuilt, Capture.SpecsBuilt)
+        << Backend << " specs built";
+    // Stage 1 (interpolate + push + wrap) is one launch; sharded books
+    // its per-shard launches to pushKernelStats() instead.
+    EXPECT_EQ(Classic.PushLaunches, std::string(Backend) == "sharded" ? 0 : 1)
+        << Backend << " stage-1 launches";
   }
+  // The serial capture records one graph node per classic launch.
+  const Ledger SerialCapture = StepLedger("serial", 1, true, 0);
+  EXPECT_EQ(SerialCapture.Nodes,
+            std::size_t(StepLedger("serial", 1, false, 2).Launches));
   // Push = sharded x K against all-serial, other stages alike: K - 1
   // extra launches.
-  const long long Serial = StepLedger("serial", 1, false, 2).first;
+  const long long Serial = StepLedger("serial", 1, false, 2).Launches;
   for (int Shards : {1, 3, 4}) {
     const long long Sharded =
-        StepLedger("sharded", Shards, false, 2, /*PushOnly=*/true).first;
+        StepLedger("sharded", Shards, false, 2, /*PushOnly=*/true).Launches;
     EXPECT_EQ(Sharded - Serial, Shards - 1) << "shards=" << Shards;
   }
 }

@@ -12,6 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 using namespace hichi;
 using namespace hichi::pic;
 
@@ -98,12 +101,41 @@ TEST(ScalarLatticeTest, SumOfSquares) {
   EXPECT_DOUBLE_EQ(L.sumOfSquares(), 25.0);
 }
 
+/// Besides the plain cases, wrapPosition's edge cases are pinned bit for
+/// bit: an offset of 0, +-Len or 2 Len lands exactly on the origin; -0.0
+/// wraps to +0.0; NaN stays NaN; 1e300 lands finite and inside the box;
+/// and a tiny negative offset rounds up to exactly O + Len, just outside
+/// the half-open box (the cell lookups tolerate it through their
+/// periodic index wrap).
 TEST(YeeGridTest, WrapPosition) {
-  YeeGrid<double> G({4, 4, 4}, {0, 0, 0}, {1, 1, 1});
-  auto P = G.wrapPosition({4.5, -0.5, 2.0});
+  const YeeGrid<double> Unit({4, 4, 4}, {0, 0, 0}, {1, 1, 1});
+  auto P = Unit.wrapPosition({4.5, -0.5, 2.0});
   EXPECT_NEAR(P.X, 0.5, 1e-12);
   EXPECT_NEAR(P.Y, 3.5, 1e-12);
   EXPECT_NEAR(P.Z, 2.0, 1e-12);
+
+  // Len = 4 on every axis; origin 0 along x, -2 along y.
+  const YeeGrid<double> G({4, 8, 16}, {0, -2, 1.5}, {1, 0.5, 0.25});
+  auto WrapX = [&G](double Off) { return G.wrapPosition({Off, 0, 2}).X; };
+  auto WrapY = [&G](double Off) {
+    return G.wrapPosition({0, -2 + Off, 2}).Y;
+  };
+  for (double Off : {0.0, 4.0, -4.0, 8.0, -0.0}) {
+    EXPECT_EQ(WrapX(Off), 0.0) << Off;
+    EXPECT_FALSE(std::signbit(WrapX(Off))) << Off;
+    EXPECT_EQ(WrapY(Off), -2.0) << Off;
+  }
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(std::isnan(WrapX(NaN)));
+  EXPECT_TRUE(std::isnan(WrapY(NaN)));
+  for (double Far : {WrapX(1e300), WrapY(1e300) + 2}) {
+    EXPECT_TRUE(std::isfinite(Far));
+    EXPECT_GE(Far, 0.0);
+    EXPECT_LT(Far, 4.0);
+  }
+  EXPECT_EQ(WrapX(-1e-300), 4.0);
+  const YeeGrid<float> F({4, 4, 4}, {0, 0, 0}, {1, 1, 1});
+  EXPECT_EQ(F.wrapPosition({-1e-9f, 0, 0}).X, 4.0f);
 }
 
 TEST(YeeGridTest, FieldEnergyOfUniformField) {

@@ -417,7 +417,7 @@ TEST(TiledDepositionTest, SimulationHashInvariantForAsyncFieldChain) {
     EXPECT_EQ(fieldSimulationHash<ParticleArrayAoS<double>>(
                   Solver, "async-pipeline", 4, 2, 100, "serial", "openmp", 5),
               Reference);
-    // The fully asynchronous five-stage loop vs the all-serial one.
+    // The fully asynchronous PIC loop vs the all-serial one.
     EXPECT_EQ(fieldSimulationHash<ParticleArrayAoS<double>>(
                   Solver, "async-pipeline", 4, 2, 100, "async-pipeline",
                   "async-pipeline", 3),
