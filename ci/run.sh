@@ -49,6 +49,11 @@ run_smoke_benches() {
 
 ./build/hichi_push --list-runners
 
+# perfbench compiles its own list of library sources: build it and run
+# its self-tests so a library change that breaks the benchmark fails
+# here (its build tree is .bench_build/).
+python3 perfbench/test_bench.py --quick
+
 # Calibrate the machine profile once (the fast sweep): the artifact is
 # the `hichi-machine-v1` document the autotuner plans from, and the
 # bench fails by itself if its own save -> load round trip is not
@@ -141,6 +146,12 @@ if [ "$(echo "$PIC_HASHES" | sort -u)" != "$PIC_GOLDEN_FDTD" ]; then
   exit 1
 fi
 echo "PIC equivalence: OK (all state hashes identical and golden)"
+
+# A negative count flag is an error, not another configuration.
+if ./build/pic_langmuir --shards -3 --steps 1 >/dev/null 2>&1; then
+  echo "FAIL: pic_langmuir --shards -3 should exit nonzero" >&2
+  exit 1
+fi
 
 # The Maxwell field solve must agree bitwise across field backends and
 # tile counts too — for both solvers (FDTD's x-slab halo tiles and the

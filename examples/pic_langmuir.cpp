@@ -115,6 +115,12 @@ int main(int Argc, char **Argv) {
     Args.printHelp(Argv[0]);
     return 0;
   }
+  for (const char *Count : {"shards", "threads", "deposit-threads",
+                            "deposit-tiles", "field-threads", "field-tiles"})
+    if (Args.getInt(Count).value_or(0) < 0) {
+      std::fprintf(stderr, "error: --%s must be >= 0\n", Count);
+      return 1;
+    }
   if (Args.getFlag("list-runners")) {
     auto &Registry = exec::BackendRegistry::instance();
     std::printf("registered execution backends:\n");
@@ -385,8 +391,6 @@ int main(int Argc, char **Argv) {
     };
     std::printf("submit-overhead ledger over %d steps:\n", TotalSteps);
     PrintLedger("push", Sim.pushStats());
-    if (Sim.shardCount() > 0)
-      PrintLedger("  push-krn", Sim.pushKernelStats());
     PrintLedger("deposit", Sim.depositLaunchStats());
     PrintLedger("field", Sim.fieldLaunchStats());
     PrintLedger("total", Sim.submitOverhead());

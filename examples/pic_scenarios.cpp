@@ -73,6 +73,11 @@ int main(int Argc, char **Argv) {
     Args.printHelp(Argv[0]);
     return 0;
   }
+  for (const char *Count : {"shards", "threads"})
+    if (Args.getInt(Count).value_or(0) < 0) {
+      std::fprintf(stderr, "error: --%s must be >= 0\n", Count);
+      return 1;
+    }
 
   const std::string Name = Args.getString("scenario");
   const int PerCell = int(Args.getInt("percell").value_or(0));

@@ -46,7 +46,6 @@
 #include "core/EnsembleOps.h"
 #include "exec/Autotuner.h"
 #include "exec/BackendRegistry.h"
-#include "exec/SlabPartition.h"
 #include "exec/StepGraph.h"
 #include "pic/AbsorbingBoundary.h"
 #include "pic/CurrentDeposition.h"
@@ -172,11 +171,13 @@ template <typename Real> struct PicOptions {
   /// (pic/Rebalancer.h): every RebalanceEveryNSteps steps the per-x-plane
   /// particle occupancy is measured, and when its skew (max block weight
   /// over mean across RebalanceBlocks x-blocks) exceeds this threshold
-  /// the ensemble is cell-sorted and the deposit tiles + sharded push
-  /// blocks are re-split weighted by the measured occupancy. <= 0
-  /// disables rebalancing entirely. The trigger reads particle positions
-  /// only (never timing), so it fires on the same steps on every backend
-  /// — rebalanced runs stay bit-identical across backends. A fired
+  /// the ensemble is cell-sorted and the deposit tiles are re-split
+  /// weighted by the measured occupancy. Stage 1 needs no re-split: the
+  /// push costs the same per particle, so the backend's even split of
+  /// its one launch is already balanced. <= 0 disables rebalancing
+  /// entirely. The trigger reads particle positions only (never
+  /// timing), so it fires on the same steps on every backend —
+  /// rebalanced runs stay bit-identical across backends. A fired
   /// repartition re-sorts, which permutes the order-sensitive state hash
   /// relative to a non-rebalanced run (conservation-gated, not
   /// bit-gated); the re-split itself never changes bits.
@@ -308,16 +309,17 @@ public:
       ChainCache.rewind();
       submitStep(*Backend, *DepositExec, *FieldExec);
     } else if (canSubmitStepAsync()) {
-      replayStep();
+      submitStepAsync(); // replay
+      finishStepAsync();
       return;
     } else {
       // Capture. The graph is keyed on the ensemble size AND the
-      // partition epoch: a fired rebalance re-splits the push blocks whose
-      // ranges the captured DAG baked in, so a repartition recaptures
-      // through the same seam a size change does. A fresh graph owns
-      // nothing: kernel bodies live in the member caches (cleared, then
-      // rebuilt by this capture so replays keep pointing at stable
-      // storage) and stats in member RunStats.
+      // partition epoch: a fired rebalance re-splits the deposit tiles
+      // whose ranges the captured DAG baked in, so a repartition
+      // recaptures through the same seam a size change does. A fresh
+      // graph owns nothing: kernel bodies live in the member caches
+      // (cleared, then rebuilt by this capture so replays keep pointing
+      // at stable storage) and stats in member RunStats.
       Stopwatch Wall;
       Graph = std::make_unique<exec::StepGraph>(&StepParams);
       exec::GraphCapture PushCap(*Backend, *Graph);
@@ -347,7 +349,8 @@ public:
   }
 
   /// The issue half of a replayed step: rebinds the step index and
-  /// simulation time and issues the captured DAG without waiting — on
+  /// simulation time and issues the captured DAG without waiting — no
+  /// specs built, no kernel bodies constructed, no counted launches; on
   /// asynchronous backends the whole step is in flight when this
   /// returns. The serve layer's batcher submits several jobs'
   /// simulations back to back (each on its own disjoint pool lanes)
@@ -365,8 +368,9 @@ public:
 
   /// The wait half: blocks until the issued step completes, then runs
   /// the shared host epilogue (counters, periodic sort, open boundary,
-  /// rebalance check). submitStepAsync() + finishStepAsync() is
-  /// bit-identical to step() on the replay path.
+  /// rebalance check). step() replays through this same pair. sortByCell
+  /// between replays is safe: it permutes particle storage in place, so
+  /// every captured pointer stays valid.
   void finishStepAsync() {
     Graph->waitReplay();
     addWall(GraphTiming, AsyncStepWatch);
@@ -411,19 +415,17 @@ private:
         Deposit, Ctx, DepositLaunchStats, 1, /*GrainHint=*/0,
         ClearCurrentBody{&Grid}, {}, StageCache);
 
-    // Stage 1 — interpolate, push and wrap (particles are independent
-    // here, so any backend is bit-identical). Both unwrapped ends of the
-    // move are kept aside: the deposition needs the physical
+    // Stage 1 — interpolate, push and wrap as one launch (particles are
+    // independent here, so any backend is bit-identical; a sharded one
+    // splits it into one block per shard itself). Both unwrapped ends of
+    // the move are kept aside: the deposition needs the physical
     // displacement. One step per launch: the deposition couples
     // particles, so multi-step fusion is not legal for the PIC loop.
-    const FusedPushBody Body{View, Interp, OldPos, NewPos, &Grid,
-                             TypesPtr, Dt, C, &StepParams, /*Offset=*/0};
-    std::vector<exec::ExecEvent> PushDone;
-    if (Push.shardCount() > 0 && N > 0)
-      PushDone = shardedInterpPush(Push, Body, N, Ctx);
-    else
-      PushDone.push_back(exec::submitCachedLaunch(
-          Push, Ctx, PushTiming, N, /*GrainHint=*/0, Body, {}, StageCache));
+    const std::vector<exec::ExecEvent> PushDone{exec::submitCachedLaunch(
+        Push, Ctx, PushTiming, N, /*GrainHint=*/0,
+        FusedPushBody{View, Interp, OldPos, NewPos, &Grid, TypesPtr, Dt, C,
+                      &StepParams},
+        {}, StageCache)};
 
     // Stages 2 + 3 — one event chain. Stage 2: current deposition, a
     // binning launch gated on stage 1 and the J clear, then per-tile
@@ -461,23 +463,6 @@ private:
       JReady.wait(); // retire the deposit launches' stats publication too
       addWall(FieldTiming, Watch);
     }
-  }
-
-  /// Graph-mode steady state: rebinds the step index and simulation time
-  /// in the ParamBlock and re-issues the captured DAG — no specs built,
-  /// no kernel bodies constructed, no counted launches. sortByCell
-  /// between replays is safe: it permutes particle storage in place, so
-  /// every captured pointer stays valid.
-  void replayStep() {
-    StepParams.StepIndex = Steps;
-    StepParams.Scalars[0] = double(CurrentTime);
-    exec::ExecutionContext Ctx;
-    Ctx.Queue = Queue.get();
-    Stopwatch Wall;
-    Graph->replay(Ctx);
-    addWall(GraphTiming, Wall);
-    ++GraphReplays;
-    finishStep();
   }
 
   /// The host epilogue every step mode shares (classic, capture,
@@ -608,9 +593,9 @@ private:
   /// The rebalance check (every RebalanceEveryNSteps steps when armed):
   /// measures the occupancy skew and, past the threshold, repartitions —
   /// cell-sort for slab locality (the one bit-visible effect: a
-  /// permutation), occupancy-weighted deposit tiles, occupancy-weighted
-  /// sharded push blocks, and a partition-epoch bump so graph mode
-  /// recaptures exactly once per fire.
+  /// permutation), occupancy-weighted deposit tiles, and a partition-
+  /// epoch bump so graph mode recaptures exactly once per fire. Stage 1
+  /// keeps the backend's even split: every particle costs the same push.
   void maybeRebalance() {
     if (!Rebal || Options.RebalanceEveryNSteps <= 0 ||
         Steps % Options.RebalanceEveryNSteps != 0)
@@ -620,9 +605,6 @@ private:
     sortByCell(Particles, Indexer);
     Accumulator->retile(
         Rebal->planeBoundaries(Index(Accumulator->tileCount())));
-    PushFractions.clear();
-    if (Backend->shardCount() > 0)
-      PushFractions = Rebal->particleFractions(Index(Backend->shardCount()));
     ++PartitionEpoch;
     // Start a fresh shardStats() window so post-repartition imbalance
     // reflects the new split, not the skewed history.
@@ -760,8 +742,10 @@ public:
   /// k-space chunks per launch for the spectral solver).
   int fieldTileCount() const { return FieldTileCount; }
 
-  /// Accumulated timing of stage 1 (interpolate + push + wrap) across all
-  /// steps so far.
+  /// Accumulated timing and launch ledger of stage 1 (interpolate + push
+  /// + wrap) across all steps so far. On asynchronous push backends
+  /// (async-pipeline, sharded) HostNs is the lanes' summed busy time,
+  /// not a wall clock.
   const RunStats &pushStats() const { return PushTiming; }
 
   /// Accumulated wall time of the deposit stage (binning + accumulate +
@@ -773,10 +757,6 @@ public:
   /// far (on asynchronous field backends it includes the overlapped
   /// deposit tail).
   const RunStats &fieldStats() const { return FieldTiming; }
-
-  /// Per-launch ledger of the sharded stage 1's per-shard launches (all
-  /// zeros when stage 1 runs as one whole-ensemble launch).
-  const RunStats &pushKernelStats() const { return PushKernelTiming; }
 
   /// Per-launch ledger of the deposit chain (clear + bin + accumulate +
   /// reduce): launches, specs built and submit-overhead nanoseconds.
@@ -803,16 +783,14 @@ public:
   const exec::StepGraph *stepGraph() const { return Graph.get(); }
 
   /// Submit-overhead totals across every per-launch ledger the step
-  /// touches (stage-1 push and per-shard push-kernel stats plus the
-  /// deposit and field chains): launches submitted, specs constructed,
-  /// and wall nanoseconds inside submit() outside kernel bodies. Timing fields
-  /// are left zero — this is the launch-bookkeeping view, not a wall
-  /// clock.
+  /// touches (stage 1 plus the deposit and field chains): launches
+  /// submitted, specs constructed, and wall nanoseconds inside submit()
+  /// outside kernel bodies. Timing fields are left zero — this is the
+  /// launch-bookkeeping view, not a wall clock.
   RunStats submitOverhead() const {
     RunStats Total;
     for (const RunStats *S :
-         {&PushTiming, &PushKernelTiming, &DepositLaunchStats,
-          &FieldLaunchStats}) {
+         {&PushTiming, &DepositLaunchStats, &FieldLaunchStats}) {
       Total.Launches += S->Launches;
       Total.SpecsBuilt += S->SpecsBuilt;
       Total.SubmitNs += S->SubmitNs;
@@ -842,9 +820,6 @@ public:
     }
     return Total;
   }
-
-  /// Shards of the push backend (0 when it is not sharded).
-  int shardCount() const { return Backend->shardCount(); }
 
   /// Rebalancer counters (all zeros when RebalanceThreshold <= 0).
   RebalanceStats rebalanceStats() const {
@@ -891,10 +866,9 @@ private:
   /// backend runs — a named body (not a step()-local lambda) so it can
   /// live in the reusable kernel cache across steps and a captured graph can
   /// keep pointing at it; the per-step simulation time flows in through
-  /// the ParamBlock. Launch item I is particle Offset + I: 0 for the
-  /// whole-ensemble launch, the block start for a per-shard one. The wrap
-  /// is a second loop: its libm fmod calls in the push loop cost GCC the
-  /// push's SLP vectorization (~6% of the serial stage, langmuir-dense).
+  /// the ParamBlock. The wrap is a second loop: its libm fmod calls in
+  /// the push loop cost GCC the push's SLP vectorization (~6% of the
+  /// serial stage, langmuir-dense).
   struct FusedPushBody {
     ViewT View;
     YeeInterpolator<Real> Interp;
@@ -904,19 +878,17 @@ private:
     const ParticleTypeInfo<Real> *Types;
     Real Dt, C;
     const exec::ParamBlock *Params; ///< Scalars[0] = simulation time
-    Index Offset;
 
     void operator()(Index Begin, Index End, int, int) const {
       const Real Time = Real(Params->Scalars[0]);
-      const Index First = Offset + Begin, Last = Offset + End;
-      for (Index I = First; I < Last; ++I) {
+      for (Index I = Begin; I < End; ++I) {
         auto P = View[I];
         const Vector3<Real> Pos = P.position();
         OldPos[I] = Pos;
         const FieldSample<Real> F = Interp(Pos, Time, I);
         BorisPusher::push<Real>(P, F, Types, Dt, C);
       }
-      for (Index I = First; I < Last; ++I) {
+      for (Index I = Begin; I < End; ++I) {
         auto P = View[I];
         NewPos[I] = P.position();
         P.setPosition(Grid->wrapPosition(NewPos[I]));
@@ -938,60 +910,6 @@ private:
     const double Ns = double(Watch.elapsedNanoseconds());
     Stats.HostNs += Ns;
     Stats.ModeledNs += Ns;
-  }
-
-  /// Stage 1 on a sharded backend: the ensemble splits into the
-  /// backend's persistent shards (the shared slab partition, so shard s
-  /// owns the same particle slice every step), and each shard runs
-  /// \p Body over its slice as one launch routed to its lane by
-  /// affinity — so shards proceed independently, with no cross-shard
-  /// barrier until the final wait. The push is per-particle-independent,
-  /// so the result is bit-identical to the serial stage for every shard
-  /// count (tests/pic/ShardEquivalenceTest.cpp). Submissions go through
-  /// \p Exec so a graph-capturing wrapper can record them.
-  /// \returns the per-shard launches' events (already waited; they still
-  /// gate the bin and the first field half-step, so a captured graph
-  /// keeps the edges).
-  std::vector<exec::ExecEvent>
-  shardedInterpPush(exec::ExecutionBackend &Exec, FusedPushBody Body,
-                    Index N, const exec::ExecutionContext &Ctx) {
-    const Index Blocks = exec::clampSlabCount(N, Index(Exec.shardCount()));
-
-    std::vector<exec::ExecEvent> PushEvents;
-    PushEvents.reserve(std::size_t(Blocks));
-
-    // After a fired rebalance the even split gives way to the
-    // occupancy-weighted one: PushFractions (cumulative occupancy at
-    // the weighted plane boundaries) rescaled by the current N. Any
-    // index partition is bit-identical — this re-split changes balance,
-    // never bits.
-    const bool Weighted = PushFractions.size() == std::size_t(Blocks) + 1;
-    auto BlockRange = [&](Index S) {
-      if (!Weighted)
-        return exec::slabRange(N, Blocks, S);
-      exec::SlabRange R;
-      R.Begin = Index(PushFractions[std::size_t(S)] * double(N));
-      R.End = S + 1 == Blocks
-                  ? N
-                  : Index(PushFractions[std::size_t(S) + 1] * double(N));
-      return R;
-    };
-
-    Stopwatch Wall;
-    for (Index S = 0; S < Blocks; ++S) {
-      const exec::SlabRange R = BlockRange(S);
-      if (R.empty())
-        continue; // a weighted block may own no particles
-      Body.Offset = R.Begin;
-      PushEvents.push_back(exec::submitCachedLaunch(
-          Exec, Ctx, PushKernelTiming, R.size(), /*GrainHint=*/0, Body, {},
-          StageCache, /*ShardAffinity=*/int(S)));
-    }
-    for (const exec::ExecEvent &Ev : PushEvents)
-      Ev.wait();
-
-    addWall(PushTiming, Wall); // stage-1 stats stay wall-clock true
-    return PushEvents;
   }
 
   /// The nine field lattices of \p G in checkpoint order (Ex..Bz,
@@ -1093,7 +1011,6 @@ private:
   RunStats PushTiming;
   RunStats DepositTiming;
   RunStats FieldTiming;
-  RunStats PushKernelTiming;    ///< per-shard stage-1 launches only
   RunStats DepositLaunchStats;  ///< deposit-chain launch ledger
   RunStats FieldLaunchStats;    ///< field-chain launch ledger
   RunStats GraphTiming;         ///< graph-mode step wall (capture+replay)
@@ -1107,9 +1024,6 @@ private:
   long long GraphReplays = 0;
   std::unique_ptr<Rebalancer<Real>> Rebal; ///< armed by RebalanceThreshold
   std::unique_ptr<AbsorbingLayer<Real>> Absorber; ///< armed by AbsorbingCells
-  /// Cumulative occupancy fractions at the weighted push-block
-  /// boundaries after a fired rebalance; empty = even split.
-  std::vector<double> PushFractions;
   long long PartitionEpoch = 0; ///< bumped by every fired repartition
   long long GraphEpoch = -1;    ///< PartitionEpoch the graph captured at
   long long AbsorbedTotal = 0;  ///< particles removed by the open boundary

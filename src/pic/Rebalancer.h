@@ -8,10 +8,10 @@
 /// Imbalance-driven repartitioning of the PIC loop's 1-D slab
 /// decompositions. The static split (exec/SlabPartition.h slabRange)
 /// assumes uniform occupancy; a drifting slab or a density gradient
-/// concentrates particles in a few x-planes and one shard/tile ends up
-/// owning most of the deposit and push work while the rest idle —
-/// exactly the skew PicSimulation::shardStats() measures and nothing
-/// reacted to until now.
+/// concentrates particles in a few x-planes and one deposit tile ends
+/// up owning most of the scatter work while the rest idle. (The push
+/// needs no re-split: it is one launch whose even particle-index split
+/// is already balanced, since every particle costs the same push.)
 ///
 /// Design constraint: the trigger must fire on the *same step* on every
 /// backend, or runs with rebalancing enabled would stop being
@@ -28,9 +28,6 @@
 ///    boundaries: every J node keeps exactly one owner and the reduce
 ///    order is fixed — the PR 2 determinism argument is
 ///    boundary-independent);
-///  - the sharded stage 1 re-splits the particle-index ranges of its
-///    per-shard launches (bit-preserving for ANY index partition: the
-///    push is per-particle-independent);
 ///  - the ensemble is re-sorted to restore slab locality — the ONE
 ///    bit-visible effect. picStateHash is particle-order-sensitive, so
 ///    a rebalanced run's hash differs from a non-rebalanced run's by a
@@ -72,8 +69,8 @@ struct RebalanceStats {
 ///
 /// The owner (PicSimulation) translates a fired check into the actual
 /// re-split: sortByCell for locality, planeBoundaries() for the deposit
-/// tiles, particleFractions() for the per-shard stage-1 ranges, plus a
-/// partition-epoch bump so a captured step graph recaptures.
+/// tiles, plus a partition-epoch bump so a captured step graph
+/// recaptures.
 template <typename Real> class Rebalancer {
 public:
   Rebalancer(GridSize Size, Vector3<Real> Origin, Vector3<Real> Step,
@@ -132,46 +129,9 @@ public:
   }
 
   /// Occupancy-weighted plane boundaries for \p Count slabs, from the
-  /// last measured histogram (the deposit tiles' new split; also what
-  /// particleFractions derives the push split from).
+  /// last measured histogram: the deposit tiles' new split.
   std::vector<Index> planeBoundaries(Index Count) const {
     return exec::weightedSlabBoundaries(Occupancy, Count);
-  }
-
-  /// Fractional particle-index boundaries for \p Count contiguous push
-  /// blocks: the cumulative occupancy fraction at each weighted plane
-  /// boundary. Valid for a cell-sorted (hence x-plane-sorted) ensemble,
-  /// where "the particles of planes [0, B[s])" is exactly the array
-  /// prefix [0, F[s] * N). Fractions rather than indices so the owner
-  /// can rescale by the current N at every (re)capture — the ensemble
-  /// may shrink between repartitions under an open boundary.
-  /// \returns Count+1 ascending fractions, front 0 and back 1, or an
-  /// empty vector when \p Count exceeds what the plane count supports.
-  std::vector<double> particleFractions(Index Count) const {
-    const std::vector<Index> Planes = planeBoundaries(Count);
-    if (Index(Planes.size()) != Count + 1)
-      return {};
-    double Total = 0;
-    for (double W : Occupancy)
-      Total += W > 0 ? W : 0;
-    std::vector<double> Fractions(std::size_t(Count) + 1, 0.0);
-    Fractions.back() = 1.0;
-    if (!(Total > 0)) {
-      for (Index S = 1; S < Count; ++S)
-        Fractions[std::size_t(S)] = double(S) / double(Count);
-      return Fractions;
-    }
-    double Prefix = 0;
-    Index P = 0;
-    for (Index S = 1; S < Count; ++S) {
-      while (P < Planes[std::size_t(S)]) {
-        const double W = Occupancy[std::size_t(P)];
-        Prefix += W > 0 ? W : 0;
-        ++P;
-      }
-      Fractions[std::size_t(S)] = Prefix / Total;
-    }
-    return Fractions;
   }
 
 private:

@@ -29,8 +29,8 @@
 ///     BackendPool construction. PicSimulation creates its stage
 ///     backends by registry name; a BindGuard on the constructing
 ///     thread routes createBackend("pool") to fresh clients over the
-///     bound lease, so the whole PIC stack (per-shard stage-1 launches,
-///     tiled deposit chains, step-graph capture/replay) runs on leased
+///     bound lease, so the whole PIC stack (stage 1 split across the
+///     leased lanes, tiled deposit chains, step-graph capture/replay) runs on leased
 ///     lanes without a single PicSimulation change. Outside a bind the
 ///     factory returns nullptr (the name is visible but unusable, like
 ///     a backend whose device is absent).
@@ -128,7 +128,7 @@ private:
 };
 
 /// A job's view of its leased lane slice, as a full ExecutionBackend —
-/// PicSimulation's sharded code paths (per-shard stage-1 routing,
+/// PicSimulation's sharded code paths (the partitioned stage-1 launch,
 /// per-shard stats windows, tile resolution) work unchanged.
 class PoolClientBackend final : public exec::ExecutionBackend {
 public:

@@ -187,9 +187,10 @@ TEST(GraphEquivalenceTest, ReplayLedgerStaysAtCaptureCounts) {
 
 /// Launch-ledger parity: a classic step submits the very DAG a capture
 /// step records, so one classic step's Launches/SpecsBuilt delta must
-/// equal the capture step's delta of an otherwise identical graph run —
-/// on every stage-1 shape (fused, asynchronous, sharded). And stage 1 on
-/// a sharded push backend is exactly one launch per shard.
+/// equal the capture step's delta of an otherwise identical graph run,
+/// and the capture must record one graph node per classic launch — on
+/// every backend. And stage 1 is one launch everywhere: a sharded push
+/// backend splits it per shard inside that launch.
 TEST(GraphEquivalenceTest, ClassicStepLedgerMatchesCaptureStep) {
   // The submitOverhead() and pushStats() launch deltas of step
   // \p StepToMeasure, with every stage on \p Backend, or only the push
@@ -243,22 +244,18 @@ TEST(GraphEquivalenceTest, ClassicStepLedgerMatchesCaptureStep) {
     EXPECT_EQ(Classic.Launches, Capture.Launches) << Backend << " launches";
     EXPECT_EQ(Classic.SpecsBuilt, Capture.SpecsBuilt)
         << Backend << " specs built";
-    // Stage 1 (interpolate + push + wrap) is one launch; sharded books
-    // its per-shard launches to pushKernelStats() instead.
-    EXPECT_EQ(Classic.PushLaunches, std::string(Backend) == "sharded" ? 0 : 1)
-        << Backend << " stage-1 launches";
+    EXPECT_EQ(Capture.Nodes, std::size_t(Classic.Launches))
+        << Backend << " graph nodes";
+    // Stage 1 (interpolate + push + wrap) is one launch.
+    EXPECT_EQ(Classic.PushLaunches, 1) << Backend << " stage-1 launches";
   }
-  // The serial capture records one graph node per classic launch.
-  const Ledger SerialCapture = StepLedger("serial", 1, true, 0);
-  EXPECT_EQ(SerialCapture.Nodes,
-            std::size_t(StepLedger("serial", 1, false, 2).Launches));
-  // Push = sharded x K against all-serial, other stages alike: K - 1
-  // extra launches.
+  // Push = sharded x K against all-serial, other stages alike: the same
+  // launch count.
   const long long Serial = StepLedger("serial", 1, false, 2).Launches;
   for (int Shards : {1, 3, 4}) {
     const long long Sharded =
         StepLedger("sharded", Shards, false, 2, /*PushOnly=*/true).Launches;
-    EXPECT_EQ(Sharded - Serial, Shards - 1) << "shards=" << Shards;
+    EXPECT_EQ(Sharded, Serial) << "shards=" << Shards;
   }
 }
 

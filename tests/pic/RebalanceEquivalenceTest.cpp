@@ -24,7 +24,9 @@
 ///    the multiset of particle states, kinetic energy, zero field
 ///    energy, zero net charge;
 ///  - a fired repartition actually moves the deposit tile plane
-///    boundaries off the uniform split.
+///    boundaries off the uniform split;
+///  - stage 1 on a sharded backend keeps the even per-shard split after
+///    a fire (every particle costs the same push).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -238,20 +240,22 @@ struct SlabRun {
   double TotalCharge = 0;
   std::vector<std::array<double, 8>> SortedStates;
   std::vector<Index> TileBounds;
+  std::vector<exec::ShardStat> Shards; ///< since the last fire
 };
 
-/// 100 steps of the drifting slab with every stage on \p Backend.
+/// 100 steps of the drifting slab with every stage on \p Backend (only
+/// the push stage when \p PushOnly; the others then run serial).
 /// \p Threshold 1.3 trips on the default 10-step cadence (the slab
 /// loads a quarter of the 8 evaluation blocks, skew ~4); 0 disables.
 SlabRun runSlab(const std::string &Backend, int Threads, double Threshold,
-                int DepositTiles = 0) {
+                int DepositTiles = 0, bool PushOnly = false) {
   const ScenarioSetup<double> S = makeDriftingSlabScenario<double>();
   PicOptions<double> Options;
   Options.LightVelocity = 1.0;
   Options.SortEveryNSteps = 20;
   Options.PushBackend = Backend;
-  Options.DepositBackend = Backend;
-  Options.FieldBackend = Backend;
+  Options.DepositBackend = PushOnly ? "serial" : Backend;
+  Options.FieldBackend = PushOnly ? "serial" : Backend;
   Options.PushThreads = Threads;
   Options.DepositThreads = Threads;
   Options.FieldThreads = Threads;
@@ -269,6 +273,7 @@ SlabRun runSlab(const std::string &Backend, int Threads, double Threshold,
   Out.FieldEnergy = Sim.fieldEnergy();
   Out.Count = Sim.particles().size();
   Out.TileBounds = Sim.depositTileBoundaries();
+  Out.Shards = Sim.shardStats();
   auto View = Sim.particles().view();
   const ParticleTypeTable<double> &Types = Sim.types();
   for (Index I = 0; I < View.size(); ++I) {
@@ -343,6 +348,27 @@ TEST(RebalanceEquivalenceTest, FiredRepartitionMovesTileBoundaries) {
   // bit-invisible, only the sort permutation could show, and here it is
   // the identity).
   EXPECT_EQ(Static.Hash, Rebalanced.Hash);
+}
+
+TEST(RebalanceEquivalenceTest, ShardedPushStaysEvenAfterFire) {
+  // Push on 4 shards, deposit and field serial: shardStats() counts only
+  // the push launches since the last fire. Every particle costs the same
+  // push, so each launch splits evenly — shard item totals differ by at
+  // most one item per launch — and the run matches the serial one.
+  const SlabRun Serial = runSlab("serial", 0, 1.3);
+  const SlabRun Sharded = runSlab("sharded", 4, 1.3, 0, /*PushOnly=*/true);
+  ASSERT_GE(Sharded.Fires, 1);
+  EXPECT_EQ(Sharded.Hash, Serial.Hash);
+  ASSERT_EQ(Sharded.Shards.size(), 4u);
+  long long MinItems = Sharded.Shards.front().Items, MaxItems = MinItems;
+  for (const exec::ShardStat &Shard : Sharded.Shards) {
+    EXPECT_EQ(Shard.Launches, Sharded.Shards.front().Launches);
+    MinItems = std::min(MinItems, Shard.Items);
+    MaxItems = std::max(MaxItems, Shard.Items);
+  }
+  ASSERT_GT(Sharded.Shards.front().Launches, 0);
+  EXPECT_LE(MaxItems - MinItems, Sharded.Shards.front().Launches)
+      << "items per shard: " << MinItems << ".." << MaxItems;
 }
 
 } // namespace

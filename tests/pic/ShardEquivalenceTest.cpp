@@ -7,8 +7,8 @@
 /// \file
 /// The sharded backend's end-to-end determinism guarantee, gated in CI
 /// as the `pic_shard_equivalence` ctest target: a PIC simulation whose
-/// stages run on persistent shards — affinity-routed per-shard
-/// interpolate+push launches, per-shard deposit accumulate→reduce
+/// stages run on persistent shards — the interpolate+push launch split
+/// into one block per shard, per-shard deposit accumulate→reduce
 /// chains, shard-partitioned field tiles — is
 /// *bit-identical* to the all-serial loop for every shard count x
 /// stage combination x particle layout x Maxwell solver. On top of the
